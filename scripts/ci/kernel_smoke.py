@@ -1,6 +1,7 @@
 """Kernel smoke: fast-vs-reference bit-identity + committed selection goldens.
 
-Two checks, both over the shared smoke artifact:
+Three checks, over the shared smoke artifact and the 300-row cyber bundle
+it is fitted from:
 
 1. **Live backend diff** — every generated session request is served
    twice through the full selection pipeline (``use_cache=False``), once
@@ -10,7 +11,12 @@ Two checks, both over the shared smoke artifact:
    runner ships, the vectorized kernels must reproduce the naive loops
    exactly.
 
-2. **Committed goldens** — the *discrete* selection content (row
+2. **Fit backend diff** — the word2vec training behind a fit runs on the
+   same kernels, so the bundle is fitted once per backend and the two
+   engines must agree on the embedding's vector bytes, its vocabulary
+   fingerprint and the first full-table display.
+
+3. **Committed goldens** — the *discrete* selection content (row
    indices, columns, targets; never float cells) of the subtab artifact
    and of a registry-built ``greedy-approx`` engine is diffed against
    ``scripts/ci/goldens/kernel_smoke.json``.  This pins the selections
@@ -61,6 +67,31 @@ def _serve_both_backends(engine, requests, label):
     return fast
 
 
+def _fit_both_backends(bundle) -> None:
+    """Fit ``bundle`` under each kernel backend; assert the embeddings and
+    first displays are bit-identical."""
+    from repro.api import Engine, SelectionRequest
+    from repro.core.config import SubTabConfig
+    from repro.core.kernels import use_kernel_backend
+
+    def fit(backend):
+        with use_kernel_backend(backend):
+            engine = Engine("subtab", config=SubTabConfig(k=4, l=4, seed=1))
+            engine.fit(bundle.frame, binned=bundle.binned)
+            model = engine.selector.embedding_model
+            return {
+                "vector bytes": model.vectors.tobytes(),
+                "vocabulary fingerprint": model.vocab_fingerprint,
+                "first display": content(engine.select(SelectionRequest())),
+            }
+
+    fast, reference = fit("fast"), fit("reference")
+    for name in fast:
+        assert fast[name] == reference[name], (
+            f"kernel smoke [fit]: fast and reference fits differ in {name}"
+        )
+
+
 def main() -> int:
     artifact = ensure_artifact()
 
@@ -86,6 +117,7 @@ def main() -> int:
     # other selector, replayed under both backends on the same dataset
     # slice the artifact was fitted from.
     bundle = load_bundle("cyber", n_rows=300, seed=1)
+    _fit_both_backends(bundle)
     approx = Engine("greedy-approx",
                     config=SubTabConfig(k=4, l=4, seed=1),
                     selector_options={"sample_rate": 0.2, "min_sample": 8,
@@ -121,9 +153,9 @@ def main() -> int:
                 f"committed golden:\nfresh:     {f}\ncommitted: {p}"
             )
 
-    print(f"kernel smoke: {len(requests)} subtab + {len(approx_requests)} "
-          f"greedy-approx selections bit-identical across kernel backends "
-          f"and matching the committed goldens")
+    print(f"kernel smoke: one fit, {len(requests)} subtab + "
+          f"{len(approx_requests)} greedy-approx selections bit-identical "
+          f"across kernel backends and matching the committed goldens")
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Vectorized selection-kernel primitives with a pure-loop reference oracle.
+"""Vectorized grouping/accumulation primitives with a pure-loop reference oracle.
 
-The per-select hot path (k-means seeding + Lloyd, budget allocation,
-coverage gains) spends its time in a handful of grouping/accumulation
-primitives.  This module implements each one twice:
+Both hot paths spend their time in a handful of grouping/accumulation
+primitives: each select (k-means seeding + Lloyd, budget allocation,
+coverage gains) and each fit (the word2vec per-batch mean update and the
+corpus token counts).  This module implements each one twice:
 
 * the **fast** path — numpy batch operations (``bincount`` accumulation,
   void-view ``np.unique`` row dedup, stable-argsort grouping, packed-bit
@@ -20,8 +21,10 @@ deliberately *not* offered here — callers keep a short python loop over
 the few segments and vectorize inside it instead.
 
 ``REPRO_KERNEL=reference`` switches every primitive to the oracle, which
-is how the equivalence suite proves a fast select bit-identical to the
-reference select on fixed seeds (see ``tests/test_kernels.py``).
+is how the equivalence suite proves a fast select or fit bit-identical to
+the reference one on fixed seeds (see ``tests/test_kernels.py``).  The
+oracle loops in python once per row, so a fit on it is practical only at
+toy scale (a few hundred rows).
 """
 
 from __future__ import annotations

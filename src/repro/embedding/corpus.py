@@ -22,6 +22,7 @@ from typing import Iterable, List
 import numpy as np
 
 from repro.binning.pipeline import BinnedTable
+from repro.core.kernels import token_counts
 from repro.utils.rng import ensure_rng
 
 ROWS_ONLY = "rows"
@@ -83,7 +84,6 @@ def _column_sentences(
 
 def corpus_token_counts(sentences: List[Sentence], vocab_size: int) -> np.ndarray:
     """Token frequency vector over the corpus (for the SGNS noise distribution)."""
-    counts = np.zeros(vocab_size, dtype=np.int64)
-    for sentence in sentences:
-        np.add.at(counts, sentence, 1)
-    return counts
+    if len(sentences) == 0:
+        return np.zeros(vocab_size, dtype=np.int64)
+    return token_counts(np.concatenate(sentences), vocab_size)

@@ -9,8 +9,11 @@ implements the same objective (Mikolov et al. 2013):
 Training is vectorized: (center, context) pairs are pre-sampled from each
 sentence (window = whole sentence, bounded by ``context_samples`` draws per
 center to keep the pair count linear in corpus size), then processed in
-mini-batches with scatter-add updates, which handles repeated tokens within a
-batch correctly.
+mini-batches.  Each batch moves every token by the mean of its gradients in
+the batch, accumulated with the dual-path grouped sums of
+:mod:`repro.core.kernels` (``label_matrix_sums`` / ``label_counts``), which
+add in input order and so handle repeated tokens within a batch exactly;
+``REPRO_KERNEL=reference`` trains on their loop oracle, bit-identically.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.kernels import label_counts, label_matrix_sums
+from repro.embedding.corpus import corpus_token_counts
 from repro.utils.rng import ensure_rng
 
 
@@ -113,7 +118,12 @@ class Word2Vec:
                            self.config.noise_power)
         if weights.sum() == 0:
             weights = np.ones(self.vocab_size)
-        self._noise_cdf = np.cumsum(weights / weights.sum())
+        cdf = np.cumsum(weights / weights.sum())
+        # Rounding can end the sum below the largest uniform draw,
+        # nextafter(1.0, 0.0), and searchsorted would then return
+        # vocab_size.  Pinning only the last entry moves no other draw.
+        cdf[-1] = 1.0
+        self._noise_cdf = cdf
 
     def _sample_negatives(self, shape) -> np.ndarray:
         uniform = self._rng.random(shape)
@@ -123,10 +133,7 @@ class Word2Vec:
     def train(self, sentences: Sequence[np.ndarray]) -> "Word2Vec":
         """Train on the corpus; returns ``self`` for chaining."""
         config = self.config
-        counts = np.zeros(self.vocab_size, dtype=np.int64)
-        for sentence in sentences:
-            np.add.at(counts, sentence, 1)
-        self._build_noise(counts)
+        self._build_noise(corpus_token_counts(sentences, self.vocab_size))
 
         pairs = sample_training_pairs(
             sentences, config.context_samples, config.max_pairs, self._rng
@@ -197,13 +204,14 @@ class Word2Vec:
         gradients: np.ndarray,
         learning_rate: float,
     ) -> None:
-        """table[token] -= lr * mean of that token's gradients in the batch."""
-        accumulated = np.zeros_like(table)
-        np.add.at(accumulated, token_ids, gradients)
-        counts = np.bincount(token_ids, minlength=table.shape[0]).astype(np.float64)
-        touched = counts > 0
-        accumulated[touched] /= counts[touched, np.newaxis]
-        table -= learning_rate * accumulated
+        """table[token] -= lr * mean of that token's gradients in the batch.
+
+        Tokens absent from the batch divide a +0.0 sum by 1 and stay put.
+        """
+        n_tokens = table.shape[0]
+        sums = label_matrix_sums(gradients, token_ids, n_tokens)
+        counts = label_counts(token_ids, n_tokens)
+        table -= learning_rate * (sums / np.maximum(counts, 1.0)[:, np.newaxis])
 
     # -- queries ---------------------------------------------------------------
     def similarity(self, token_a: int, token_b: int) -> float:

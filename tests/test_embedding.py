@@ -116,6 +116,22 @@ class TestWord2Vec:
         model.train([])
         assert np.array_equal(before, model.vectors)
 
+    def test_largest_uniform_draw_samples_a_real_token(self):
+        """Seven equal counts sum their noise cdf to 0.9999999999999998,
+        below ``Generator.random``'s largest draw; that draw must still
+        pick the last token, not index one past the vocabulary."""
+        model = Word2Vec(7, Word2VecConfig(dim=4, negatives=3), seed=0)
+        model._build_noise(np.full(7, 3))
+
+        class LargestDraw:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+        model._rng = LargestDraw()
+        model._train_batch(np.array([[0, 1], [2, 3]]), 0.05)
+        assert np.isfinite(model._context_vectors).all()
+        assert np.array_equal(model._sample_negatives((2, 3)), np.full((2, 3), 6))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             Word2VecConfig(dim=0)

@@ -30,6 +30,11 @@ from repro.core.kernels import (
     union_mask,
     use_kernel_backend,
 )
+from repro.embedding.word2vec import (
+    Word2Vec,
+    Word2VecConfig,
+    sample_training_pairs,
+)
 
 
 def both_backends(fn):
@@ -217,6 +222,93 @@ def test_kmeans_fit_bit_identical_across_backends(instance):
     # Empty-cluster reseeds kept every cluster populated (n >= k case).
     if points.shape[0] >= k and np.unique(points, axis=0).shape[0] >= k:
         assert np.unique(fast.labels).size == k
+
+
+def parent_mean_update(table, token_ids, gradients, learning_rate):
+    """The SGNS mean update as spelled before it moved onto the kernels:
+    an ``np.add.at`` scatter, then division of the touched rows only.
+
+    The backend diff proves fast == reference; this oracle pins both to
+    the original arithmetic, so they cannot drift together.
+    """
+    accumulated = np.zeros_like(table)
+    np.add.at(accumulated, token_ids, gradients)
+    counts = np.bincount(token_ids, minlength=table.shape[0]).astype(np.float64)
+    touched = counts > 0
+    accumulated[touched] /= counts[touched, np.newaxis]
+    table -= learning_rate * accumulated
+
+
+@st.composite
+def mean_update_instance(draw):
+    """(table, token_ids, gradients, learning_rate) with repeated ids,
+    vocabulary ids absent from the batch, signed zeros and magnitudes
+    mixed from 1e-6 to 1e6 within one batch."""
+    n_tokens = draw(st.integers(min_value=1, max_value=12))
+    batch = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def values(shape):
+        out = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+        zeros = rng.random(shape) < 0.2
+        out[zeros] = np.copysign(0.0, rng.normal(size=int(zeros.sum())))
+        return out
+
+    present = rng.choice(n_tokens, size=rng.integers(1, n_tokens + 1),
+                         replace=False)
+    token_ids = rng.choice(present, size=batch)
+    learning_rate = draw(st.sampled_from([1e-4, 0.0125, 0.05, 1.0]))
+    return values((n_tokens, d)), token_ids, values((batch, d)), learning_rate
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=mean_update_instance())
+def test_word2vec_mean_update_matches_parent_arithmetic(instance):
+    table, token_ids, gradients, learning_rate = instance
+    expected = table.copy()
+    parent_mean_update(expected, token_ids, gradients, learning_rate)
+    model = Word2Vec(table.shape[0], Word2VecConfig(dim=table.shape[1]), seed=0)
+    for backend in (kernels.FAST, kernels.REFERENCE):
+        updated = table.copy()
+        with use_kernel_backend(backend):
+            model._apply_mean_update(updated, token_ids, gradients,
+                                     learning_rate)
+        assert updated.tobytes() == expected.tobytes(), backend  # signed zeros too
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    vocab_size=st.integers(min_value=1, max_value=12),
+    lengths=st.lists(st.integers(min_value=1, max_value=8),
+                     min_size=1, max_size=6),
+    dim=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_word2vec_train_bit_identical_across_backends(vocab_size, lengths,
+                                                      dim, seed, data):
+    rng = np.random.default_rng(seed)
+    # Tokens outside ``present`` never occur, so their noise weight is 0.
+    present = rng.choice(vocab_size, size=rng.integers(1, vocab_size + 1),
+                         replace=False)
+    sentences = [rng.choice(present, size=n) for n in lengths]
+    config = Word2VecConfig(dim=dim, epochs=2, negatives=2)
+    n_pairs = len(sample_training_pairs(
+        sentences, config.context_samples, config.max_pairs, rng
+    ))
+    # A batch size that leaves a short last batch (or one short batch).
+    config.batch_size = data.draw(
+        st.integers(min_value=1, max_value=n_pairs + 1)
+        .filter(lambda b: n_pairs % b != 0 or n_pairs == 0)
+    )
+
+    def run():
+        return Word2Vec(vocab_size, config, seed=seed).train(sentences)
+
+    fast, reference = both_backends(run)
+    assert np.array_equal(fast.vectors, reference.vectors)
+    assert np.array_equal(fast._context_vectors, reference._context_vectors)
 
 
 def _tiny_coverage_setup(seed):
