@@ -1,7 +1,8 @@
-"""Kernel smoke: fast-vs-reference bit-identity + committed selection goldens.
+"""Kernel smoke: fast-vs-reference bit-identity, the one-BLAS-thread
+select scope, and committed selection goldens.
 
-Three checks, over the shared smoke artifact and the 300-row cyber bundle
-it is fitted from:
+Four checks, over the shared smoke artifact and the 300-row cyber bundle
+it is fitted from (the scope check fits its own 2,000-row bundle):
 
 1. **Live backend diff** — every generated session request is served
    twice through the full selection pipeline (``use_cache=False``), once
@@ -16,7 +17,21 @@ it is fitted from:
    engines must agree on the embedding's vector bytes, its vocabulary
    fingerprint and the first full-table display.
 
-3. **Committed goldens** — the *discrete* selection content (row
+3. **One BLAS thread per cold select** — ``Engine.select`` runs a cold
+   select with every loaded OpenBLAS on one thread
+   (``repro.utils.blas.single_blas_thread``).  The check fails when
+   numpy's build config names OpenBLAS but the scope found no library (a
+   numpy upgrade that renamed the thread-count symbols would otherwise
+   switch the scope off silently).  It then fits the 2,000-row cyber
+   bundle (over 1,000 distinct rows, so the full-table and the larger
+   session views are past the few hundred rows where OpenBLAS splits a
+   GEMM across threads) and serves the full table and every session
+   request through ``Engine.select``; each sub-table must equal the
+   selector's own ``select`` called outside the scope, at the runner's
+   default thread count.  The 300-row bundle is too small to show this.
+   The library path and both thread counts are printed.
+
+4. **Committed goldens** — the *discrete* selection content (row
    indices, columns, targets; never float cells) of the subtab artifact
    and of a registry-built ``greedy-approx`` engine is diffed against
    ``scripts/ci/goldens/kernel_smoke.json``.  This pins the selections
@@ -92,6 +107,71 @@ def _fit_both_backends(bundle) -> None:
         )
 
 
+def _one_blas_thread_leg() -> None:
+    """Cold selects inside the one-BLAS-thread scope equal direct selector
+    calls at the default thread count (see the module docstring)."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from repro.api import Engine, SelectionRequest
+    from repro.api.wire import encode_subtable
+    from repro.bench import load_bundle
+    from repro.core.config import SubTabConfig
+    from repro.utils.blas import (
+        loaded_openblas,
+        numpy_links_openblas,
+        single_blas_thread,
+    )
+
+    libraries = loaded_openblas()
+    assert libraries or not numpy_links_openblas(), (
+        "kernel smoke [blas]: numpy links OpenBLAS but the one-thread scope "
+        "found no library; cold selects would spin a second BLAS thread"
+    )
+    default = [library.num_threads() for library in libraries]
+    with single_blas_thread():
+        inside = [library.num_threads() for library in libraries]
+    assert inside == [1] * len(libraries), (
+        f"kernel smoke [blas]: scope left the thread counts at {inside}"
+    )
+
+    bundle = load_bundle("cyber", n_rows=2000, seed=1)
+    engine = Engine("subtab", config=SubTabConfig(k=10, l=7, seed=1))
+    engine.fit(bundle.frame, binned=bundle.binned)
+    distinct = len(np.unique(engine.binned.token_ids, axis=0))
+    assert distinct >= 1000, (
+        f"kernel smoke [blas]: only {distinct} distinct rows; too few for "
+        "OpenBLAS to split the score GEMM"
+    )
+    requests = [SelectionRequest(use_cache=False)] + [
+        replace(request, use_cache=False)
+        for request in session_requests(engine)
+    ]
+
+    def direct(request):
+        k, l = request.resolve(engine.config.k, engine.config.l)
+        return engine.selector.select(
+            k, l, query=request.query, targets=request.targets,
+            modes=request.mode_overrides() or None,
+        )
+
+    for request in requests:
+        served = encode_subtable(engine.select(request).subtable)
+        assert served == encode_subtable(direct(request)), (
+            f"kernel smoke [blas]: scoped select differs from the direct "
+            f"selector call for {request}"
+        )
+    for library, count, scoped in zip(libraries, default, inside):
+        print(f"kernel smoke [blas]: {library.path}: {count} thread(s) by "
+              f"default, {scoped} inside the select scope")
+    if not libraries:
+        print("kernel smoke [blas]: numpy links no OpenBLAS; the select "
+              "scope is a no-op")
+    print(f"kernel smoke [blas]: {len(requests)} cold selects on a "
+          f"{distinct}-distinct-row table equal direct selector calls")
+
+
 def main() -> int:
     artifact = ensure_artifact()
 
@@ -118,6 +198,7 @@ def main() -> int:
     # slice the artifact was fitted from.
     bundle = load_bundle("cyber", n_rows=300, seed=1)
     _fit_both_backends(bundle)
+    _one_blas_thread_leg()
     approx = Engine("greedy-approx",
                     config=SubTabConfig(k=4, l=4, seed=1),
                     selector_options={"sample_rate": 0.2, "min_sample": 8,

@@ -33,6 +33,7 @@ from repro.binning.pipeline import BinnedTable, TableBinner
 from repro.core.config import SubTabConfig
 from repro.core.result import SubTable
 from repro.frame.frame import DataFrame
+from repro.utils.blas import single_blas_thread
 from repro.utils.timer import timed
 from repro.utils.validation import validate_selection_args
 
@@ -204,7 +205,9 @@ class Engine:
         Repeated cache-eligible requests are served from the LRU without
         re-running the selection pipeline; responses then share the cached
         :class:`~repro.core.SubTable` object — treat it as immutable.
-        Fairness-constrained requests are never cached.
+        Fairness-constrained requests are never cached.  A cold select
+        runs inside :func:`~repro.utils.blas.single_blas_thread`; fits
+        keep the process's BLAS thread count.
         """
         if request is None:
             request = SelectionRequest(**kwargs)
@@ -232,14 +235,17 @@ class Engine:
                                      select_seconds=0.0)
 
         start = time.perf_counter()
-        subtable = self._selector.select(
-            k,
-            l,
-            query=request.query,
-            targets=targets,
-            fairness=request.fairness,
-            modes=modes or None,
-        )
+        # Serving parallelises with processes; a second BLAS thread only
+        # spins, so a cold select runs its GEMMs on one (same bits).
+        with single_blas_thread():
+            subtable = self._selector.select(
+                k,
+                l,
+                query=request.query,
+                targets=targets,
+                fairness=request.fairness,
+                modes=modes or None,
+            )
         elapsed = time.perf_counter() - start
         self.timings_["select"] = elapsed
         if cacheable:

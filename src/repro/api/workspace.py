@@ -17,13 +17,18 @@ optionally an ``algorithm``):
   routing adds no transformation, so per-engine and workspace serving are
   bit-identical.
 
-Routing is thread-safe (the engine table is a locked LRU); determinism of
-concurrent selects on one engine is the selector's own affair, as it is for
-a bare Engine.
+Routing is thread-safe.  A hit takes only the engine LRU's own lock; a miss
+faults the engine in **single-flight**: it takes the workspace lock, checks
+the LRU again and loads only if the engine is still missing.  Concurrent
+first requests for one dataset therefore load it once, and engine loads
+minus LRU evictions equals the resident count until an explicit
+:meth:`Workspace.evict`.  Selectors take each request's mode overrides as
+an argument, so concurrent selects on one engine never see each other's.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -104,6 +109,9 @@ class Workspace:
         # an evict, consistent with resident engines not seeing new
         # versions until then.
         self._persisted_algorithms: dict[str, str] = {}
+        # Serializes engine fault-in and evict(); guards the counters and
+        # the algorithm memo.
+        self._lock = threading.Lock()
         self._served = 0
         self._loads = 0
         self._evictions = 0
@@ -122,7 +130,8 @@ class Workspace:
             algorithm = self._persisted_algorithms.get(dataset)
             if algorithm is None:
                 algorithm = self.store.describe(dataset).algorithm
-                self._persisted_algorithms[dataset] = algorithm
+                with self._lock:
+                    self._persisted_algorithms[dataset] = algorithm
         try:
             algorithm = resolve_name(algorithm)
         except ValueError:
@@ -134,21 +143,26 @@ class Workspace:
 
         Faulting a new engine in may evict the least recently served one;
         engines already handed out stay valid, the workspace just forgets
-        them.
+        them.  Fault-in is single-flight: a miss re-checks the LRU under
+        the workspace lock, so threads racing on one key share one load.
         """
         key = self._routing_key(
             SelectionRequest(dataset=dataset, algorithm=algorithm)
         )
         engine = self._engines.get(key)
-        if engine is None:
-            engine = self.store.open(
-                key[0],
-                algorithm=key[1],
-                cache_size=self.cache_size,
-                selector_options=self._selector_options,
-            )
-            self._loads += 1
-            self._evictions += len(self._engines.put(key, engine))
+        if engine is not None:
+            return engine
+        with self._lock:
+            engine = self._engines.get(key)
+            if engine is None:
+                engine = self.store.open(
+                    key[0],
+                    algorithm=key[1],
+                    cache_size=self.cache_size,
+                    selector_options=self._selector_options,
+                )
+                self._loads += 1
+                self._evictions += len(self._engines.put(key, engine))
         return engine
 
     # -- serving ------------------------------------------------------------
@@ -167,7 +181,8 @@ class Workspace:
         dataset, algorithm = self._routing_key(request)
         engine = self.engine_for(dataset, algorithm)
         response = engine.select(request)
-        self._served += 1
+        with self._lock:
+            self._served += 1
         return response
 
     def select_many(
@@ -193,7 +208,8 @@ class Workspace:
             engine = self.engine_for(*key)
             for index in indices:
                 responses[index] = engine.select(requests[index])
-                self._served += 1
+                with self._lock:
+                    self._served += 1
         return responses
 
     # -- introspection ------------------------------------------------------
@@ -204,24 +220,26 @@ class Workspace:
 
     @property
     def stats(self) -> WorkspaceStats:
-        return WorkspaceStats(
-            served=self._served,
-            engine_loads=self._loads,
-            engine_evictions=self._evictions,
-            capacity=self._engines.maxsize,
-            resident=tuple(self.resident),
-        )
+        with self._lock:
+            return WorkspaceStats(
+                served=self._served,
+                engine_loads=self._loads,
+                engine_evictions=self._evictions,
+                capacity=self._engines.maxsize,
+                resident=tuple(self.resident),
+            )
 
     def evict(self, dataset: Optional[str] = None) -> None:
         """Drop loaded engines (all of them, or one dataset's)."""
-        if dataset is None:
-            self._engines.clear()
-            self._persisted_algorithms.clear()
-            return
-        self._persisted_algorithms.pop(dataset, None)
-        for key in self._engines.keys():
-            if key[0] == dataset:
-                self._engines.pop(key)
+        with self._lock:
+            if dataset is None:
+                self._engines.clear()
+                self._persisted_algorithms.clear()
+                return
+            self._persisted_algorithms.pop(dataset, None)
+            for key in self._engines.keys():
+                if key[0] == dataset:
+                    self._engines.pop(key)
 
     def __repr__(self) -> str:
         return (f"Workspace(store={str(self.store.root)!r}, "

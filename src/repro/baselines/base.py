@@ -28,7 +28,10 @@ class BaseSelector(ABC):
     """Skeleton for sub-table selectors.
 
     Subclasses implement :meth:`_select_from_view`, which receives the query
-    result as a binned view plus the global row indices it came from.
+    result as a binned view plus the global row indices it came from, and
+    the request's mode overrides as an argument: one selector serves
+    concurrent requests, so request state is passed, never stored on
+    ``self``.
 
     Parameters
     ----------
@@ -56,7 +59,6 @@ class BaseSelector(ABC):
         self._binner = binner
         self._frame: Optional[DataFrame] = None
         self._binned: Optional[BinnedTable] = None
-        self._modes: Mapping[str, str] = {}
 
     # -- preparation -------------------------------------------------------------
     def prepare(self, frame: DataFrame, binned: Optional[BinnedTable] = None) -> "BaseSelector":
@@ -141,15 +143,11 @@ class BaseSelector(ABC):
         rows, columns = self._apply_query(query)
         targets = validate_selection_args(k, l, targets, columns=columns)
         view = self._binned.subset(rows=rows, columns=columns)
-        self._modes = modes
-        try:
-            local_rows, selected_columns = self._select_from_view(
-                view, rows, columns, k, l, targets
-            )
-            if fairness is not None:
-                local_rows = self._repair_fairness(view, local_rows, fairness)
-        finally:
-            self._modes = {}
+        local_rows, selected_columns = self._select_from_view(
+            view, rows, columns, k, l, targets, modes
+        )
+        if fairness is not None:
+            local_rows = self._repair_fairness(view, local_rows, fairness)
         selected_rows = [int(rows[i]) for i in local_rows]
         return subtable_from_selection(
             self._frame, selected_rows, selected_columns, targets=targets
@@ -164,8 +162,13 @@ class BaseSelector(ABC):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
-        """Return (row positions local to ``view``, selected column names)."""
+        """Return (row positions local to ``view``, selected column names).
+
+        ``modes`` holds this request's validated mode overrides (empty
+        when none were given).
+        """
 
     def _repair_fairness(self, view: BinnedTable, local_rows, fairness):
         """Repair a row selection to satisfy a representation constraint.

@@ -10,6 +10,8 @@ row/column/value graph is much larger than the tabular sentence corpus.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.baselines.base import BaseSelector
@@ -87,8 +89,8 @@ class EmbDISelector(BaseSelector):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
-        modes = self._modes
         with timed(self.timings_, "select"):
             # A fresh generator per call (like SubTab): every display is
             # deterministic given the seed, so a recomputation after LRU

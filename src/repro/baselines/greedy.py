@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import time
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -169,6 +169,7 @@ class GreedySelector(BaseSelector):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         evaluator = self._evaluator
         deadline = (

@@ -21,7 +21,7 @@ not statefulness, for stochastic selectors.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -168,11 +168,13 @@ class ApproxGreedySelector(GreedySelector):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         # Fresh stream per select: replayable on every serving topology
         # (pool workers, remote sessions) regardless of request history.
         self._rng = ensure_rng(self._seed)
-        return super()._select_from_view(view, rows, columns, k, l, targets)
+        return super()._select_from_view(view, rows, columns, k, l, targets,
+                                         modes)
 
     def _row_selection(
         self,

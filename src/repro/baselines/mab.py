@@ -18,7 +18,7 @@ reproduction of Fig. 7 shows the same behaviour at scaled budgets.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -98,6 +98,7 @@ class MABSelector(BaseSelector):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         scorer = self._scorer
         n = len(rows)

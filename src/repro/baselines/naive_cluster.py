@@ -10,6 +10,8 @@ encoding, without the embedding, fails to capture co-occurrence patterns.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.baselines.base import BaseSelector
@@ -101,6 +103,7 @@ class NaiveClusteringSelector(BaseSelector):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         row_features = one_hot_rows(view, max_onehot=self.max_onehot)
         local_rows = select_representatives(

@@ -9,6 +9,7 @@ budget is configurable so scaled experiments stay fast.
 from __future__ import annotations
 
 import time
+from typing import Mapping
 
 import numpy as np
 
@@ -75,6 +76,7 @@ class RandomSelector(BaseSelector):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         scorer = self._scorer
         n = len(rows)

@@ -13,7 +13,7 @@ them, because views gather the parent's global token ids.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -153,9 +153,9 @@ class SubTabSelector(BaseSelector):
         k: int,
         l: int,
         targets: list[str],
+        modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         config = self.config
-        modes = self._modes
         # A fresh generator per call, exactly like SubTab.select: every
         # display is deterministic given the seed, so repeated/cached
         # requests are bit-identical to cold ones by construction.

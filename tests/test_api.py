@@ -8,6 +8,7 @@ rejection).
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -197,6 +198,56 @@ class TestEngineServing:
     def test_request_and_kwargs_are_exclusive(self, subtab_engine):
         with pytest.raises(TypeError):
             subtab_engine.select(SelectionRequest(k=3, l=3), k=3)
+
+    def test_concurrent_selects_keep_their_own_modes(self, subtab_engine,
+                                                     monkeypatch):
+        """A request's mode overrides reach its own selection even when
+        another select on the same engine starts in between."""
+        modes = dict(row_mode="mass", column_mode="centroid")
+        solo = subtab_engine.select(
+            SelectionRequest(k=5, l=4, use_cache=False, **modes)
+        ).subtable
+        default = subtab_engine.select(
+            SelectionRequest(k=5, l=4, use_cache=False)
+        ).subtable
+        assert (solo.row_indices, solo.columns) != (
+            default.row_indices, default.columns
+        )
+
+        selector = subtab_engine.selector
+        select_from_view = selector._select_from_view
+        a_entered, b_entered = threading.Event(), threading.Event()
+
+        def hook(*args, **kwargs):
+            if threading.current_thread().name == "A":
+                a_entered.set()
+                assert b_entered.wait(timeout=30)
+            else:
+                b_entered.set()
+            return select_from_view(*args, **kwargs)
+
+        monkeypatch.setattr(selector, "_select_from_view", hook)
+        served = {}
+
+        def serve(name, request):
+            served[name] = subtab_engine.select(request).subtable
+
+        a = threading.Thread(name="A", target=serve, args=(
+            "A", SelectionRequest(k=5, l=4, use_cache=False, **modes)))
+        b = threading.Thread(name="B", target=serve, args=(
+            "B", SelectionRequest(k=5, l=4, use_cache=False)))
+        a.start()
+        assert a_entered.wait(timeout=30)
+        b.start()
+        for thread in (a, b):
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert (served["A"].row_indices, served["A"].columns) == (
+            solo.row_indices, solo.columns
+        )
+        assert (served["B"].row_indices, served["B"].columns) == (
+            default.row_indices, default.columns
+        )
 
     def test_unsupported_mode_override_raises(self, planted_frame):
         engine = Engine("nc", SubTabConfig(k=3, l=3, seed=0)).fit(planted_frame)

@@ -7,6 +7,8 @@ round-trips every field including queries and targets.
 """
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -76,6 +78,65 @@ class TestRouting:
         # coming back faults the engine in again
         workspace.select(SelectionRequest(k=3, l=3, dataset="planted"))
         assert workspace.stats.engine_loads == 3
+
+    @staticmethod
+    def _race(workspace, datasets, rounds=1):
+        """One thread per entry of ``datasets``, released together by a
+        barrier, each serving ``rounds`` requests (cycling through
+        ``datasets`` from its own offset)."""
+        barrier = threading.Barrier(len(datasets))
+        errors = []
+
+        def client(offset):
+            try:
+                barrier.wait(timeout=30)
+                for step in range(rounds):
+                    dataset = datasets[(offset + step) % len(datasets)]
+                    workspace.select(
+                        SelectionRequest(k=3, l=3, dataset=dataset)
+                    )
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(offset,))
+                   for offset in range(len(datasets))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+
+    @pytest.fixture()
+    def slow_open(self, seeded_store, monkeypatch):
+        """Stretch every engine load so racing first requests overlap."""
+        opened = seeded_store.open
+
+        def open_slowly(*args, **kwargs):
+            time.sleep(0.05)
+            return opened(*args, **kwargs)
+
+        monkeypatch.setattr(seeded_store, "open", open_slowly)
+
+    def test_racing_first_requests_load_each_engine_once(self, seeded_store,
+                                                         slow_open):
+        workspace = Workspace(seeded_store, capacity=4)
+        self._race(workspace, ["planted", "planted-alt"] * 4)
+        stats = workspace.stats
+        assert stats.engine_loads == 2
+        assert stats.engine_evictions == 0
+        assert stats.served == 8
+        assert sorted(stats.resident) == [("planted", "subtab"),
+                                          ("planted-alt", "nc")]
+
+    def test_counters_stay_consistent_under_thrashing(self, seeded_store,
+                                                      slow_open):
+        workspace = Workspace(seeded_store, capacity=1)
+        self._race(workspace, ["planted", "planted-alt"] * 4, rounds=3)
+        stats = workspace.stats
+        assert stats.served == 24
+        assert len(stats.resident) == 1
+        assert stats.engine_loads - stats.engine_evictions == 1
 
     def test_evict(self, workspace):
         workspace.select(SelectionRequest(k=3, l=3, dataset="planted"))
