@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reconstruction's own design choices.
 
 Not part of the paper's evaluation — these isolate our reconstruction's
 moving parts:
@@ -12,8 +12,8 @@ moving parts:
 * binning strategy: KDE (paper) vs equal-width vs quantile.
 
 Each bench prints the combined score per variant and asserts only sanity
-(scores in range, experiments complete); the numbers are recorded in
-EXPERIMENTS.md.
+(scores in range, experiments complete); docs/architecture.md maps the
+pipeline stages the variants swap.
 """
 
 import pytest
@@ -62,7 +62,8 @@ def test_ablation_embedding_method(benchmark, bundle, capsys):
 
 
 def test_ablation_corpus_mode(benchmark, capsys):
-    """Corpus choice is dataset-dependent (see DESIGN.md section 5).
+    """Corpus choice is dataset-dependent (see ``corpus_mode`` in
+    ``repro.core.config``; docs/architecture.md maps the embedding layer).
 
     Column-sentences hurt on the wide, missing-heavy FL (same-column bins
     are pulled together) and help mildly on the narrow SP; this bench

@@ -45,7 +45,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.bench import run_async_qps_experiment
+from repro.bench import render_record, run_async_qps_experiment
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 CLUSTER_REFERENCE = (
@@ -60,7 +60,7 @@ def _out_path() -> Path:
 
 
 def test_async_qps(benchmark, once, capsys):
-    result = once(
+    record = once(
         benchmark,
         run_async_qps_experiment,
         dataset_name="cyber",
@@ -75,64 +75,60 @@ def test_async_qps(benchmark, once, capsys):
     )
     with capsys.disabled():
         print()
-        print(result.render())
+        print(render_record(record))
 
-    payload = result.to_json()
     path = _out_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
     with capsys.disabled():
         print(f"wrote {path}")
 
     # Every path served the whole workload without failovers.
-    expected = result.n_states * result.rounds
-    for record in (result.sync_client, result.pipelined_client,
-                   result.replica_primary, result.replica_round_robin,
-                   result.replica_hash):
-        assert record["served"] == expected
-    for record in (result.replica_primary, result.replica_round_robin,
-                   result.replica_hash):
-        assert record["errors"] == 0
-        assert record["failovers"] == 0
+    expected = record["n_states"] * record["rounds"]
+    sync, pipelined = record["sync_client"], record["pipelined_client"]
+    primary, round_robin, hashed = (record["replica_primary"],
+                                    record["replica_round_robin"],
+                                    record["replica_hash"])
+    reference = record["cluster_reference"]
+    for leg in (sync, pipelined, primary, round_robin, hashed):
+        assert leg["served"] == expected
+    for leg in (primary, round_robin, hashed):
+        assert leg["errors"] == 0
+        assert leg["failovers"] == 0
 
     # Claim 1: the pipelined client out-serves sync round trips on the
     # same single member (the margin is far larger than run-to-run noise).
-    assert result.pipeline_speedup > 1.1, (
-        f"pipelined client is only {result.pipeline_speedup:.2f}x the sync "
-        f"client ({result.pipelined_client['qps']:.1f} vs "
-        f"{result.sync_client['qps']:.1f} QPS)"
+    assert record["pipeline_speedup"] > 1.1, (
+        f"pipelined client is only {record['pipeline_speedup']:.2f}x the sync "
+        f"client ({pipelined['qps']:.1f} vs {sync['qps']:.1f} QPS)"
     )
 
     # Claim 2: replicas genuinely serve reads — the round-robin split is
     # balanced where primary's consistent-hash split is lopsided...
-    spread = result.replica_round_robin["per_member"].values()
+    spread = round_robin["per_member"].values()
     assert max(spread) <= 1.5 * min(spread), (
-        f"round-robin reads did not balance: "
-        f"{result.replica_round_robin['per_member']}"
+        f"round-robin reads did not balance: {round_robin['per_member']}"
     )
     # ...and the read-replica ring clears the committed failover-only
     # 2-member record it supersedes.
-    if result.cluster_reference:
-        assert (result.replica_round_robin["qps"]
-                > result.cluster_reference["qps"]), (
-            f"read-replica ring ({result.replica_round_robin['qps']:.1f} "
+    if reference:
+        assert round_robin["qps"] > reference["qps"], (
+            f"read-replica ring ({round_robin['qps']:.1f} "
             f"QPS) does not beat the committed failover-only 2-member "
-            f"record ({result.cluster_reference['qps']:.1f} QPS)"
+            f"record ({reference['qps']:.1f} QPS)"
         )
 
     # Claim 3: cache-affinity routing splits work across both replicas
     # (the hash parity of the seeded state set decides the exact ratio,
     # so the bound only guards against one member going idle) but pays
     # each cold miss once, so it must out-serve round-robin...
-    hash_spread = result.replica_hash["per_member"].values()
+    hash_spread = hashed["per_member"].values()
     assert min(hash_spread) >= 0.1 * sum(hash_spread), (
-        f"hash routing left a replica idle: "
-        f"{result.replica_hash['per_member']}"
+        f"hash routing left a replica idle: {hashed['per_member']}"
     )
-    assert result.affinity_gain > 1.1, (
-        f"hash routing is only {result.affinity_gain:.2f}x round_robin "
-        f"({result.replica_hash['qps']:.1f} vs "
-        f"{result.replica_round_robin['qps']:.1f} QPS)"
+    assert record["affinity_gain"] > 1.1, (
+        f"hash routing is only {record['affinity_gain']:.2f}x round_robin "
+        f"({hashed['qps']:.1f} vs {round_robin['qps']:.1f} QPS)"
     )
     # ...and clears the committed failover-only reference too.
-    if result.cluster_reference:
-        assert result.replica_hash["qps"] > result.cluster_reference["qps"]
+    if reference:
+        assert hashed["qps"] > reference["qps"]

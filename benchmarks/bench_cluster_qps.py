@@ -27,7 +27,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.bench import run_cluster_qps_experiment
+from repro.bench import render_record, run_cluster_qps_experiment
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 POOL_REFERENCE = Path(__file__).resolve().parent.parent / "BENCH_pool_qps.json"
@@ -40,7 +40,7 @@ def _out_path() -> Path:
 
 
 def test_cluster_qps_scaling(benchmark, once, capsys):
-    result = once(
+    record = once(
         benchmark,
         run_cluster_qps_experiment,
         dataset_name="cyber",
@@ -55,31 +55,33 @@ def test_cluster_qps_scaling(benchmark, once, capsys):
     )
     with capsys.disabled():
         print()
-        print(result.render())
+        print(render_record(record))
 
-    payload = result.to_json()
     path = _out_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
     with capsys.disabled():
         print(f"wrote {path}")
 
     # The ring must actually shard: the workload overflows one member's
     # LRU, every member of the full ring serves, nothing fails over, and
     # aggregate throughput grows with the member count.
-    assert result.n_states > result.cache_size, (
+    assert record["n_states"] > record["cache_size"], (
         "workload too small to stress a single member's LRU"
     )
-    for count in result.member_counts:
-        record = result.members[str(count)]
-        assert record["served"] == result.baseline["served"]
-        assert record["errors"] == 0
-        assert record["failovers"] == 0
-    full = result.members[str(max(result.member_counts))]
+    members = record["members"]
+    for count in record["member_counts"]:
+        leg = members[str(count)]
+        assert leg["served"] == record["baseline"]["served"]
+        assert leg["errors"] == 0
+        assert leg["failovers"] == 0
+    biggest = str(max(record["member_counts"]))
+    full = members[biggest]
     assert all(served > 0 for served in full["per_member"].values()), (
         f"idle members: {full['per_member']}"
     )
-    scaling = result.scaling[str(max(result.member_counts))]
+    scaling = record["qps_scaling"][biggest]
+    first = members[str(record["member_counts"][0])]
     assert scaling >= 1.5, (
         f"4-member ring is only {scaling:.2f}x the 1-member ring "
-        f"({full['qps']:.1f} vs {result.qps(result.member_counts[0]):.1f} QPS)"
+        f"({full['qps']:.1f} vs {first['qps']:.1f} QPS)"
     )

@@ -8,7 +8,8 @@ magnitude below MAB/Greedy (24-48 h runs).
 Reproduction target: Greedy's quality is at least SubTab's (it directly
 optimizes cell coverage); EmbDI's quality is comparable to SubTab's at a
 multiple of the cost; SubTab is the fastest of the non-trivial methods.
-Budgets are scaled (see DESIGN.md) so the bench completes in minutes.
+Budgets are scaled (see docs/operations.md, "The bench-gate workflow")
+so the bench completes in minutes.
 """
 
 from repro.bench import run_slow_baselines_experiment

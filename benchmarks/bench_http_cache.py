@@ -30,7 +30,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.bench import run_http_cache_experiment
+from repro.bench import render_record, run_http_cache_experiment
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 
@@ -42,7 +42,7 @@ def _out_path() -> Path:
 
 
 def test_http_cache(benchmark, once, capsys):
-    result = once(
+    record = once(
         benchmark,
         run_http_cache_experiment,
         dataset_name="cyber",
@@ -57,32 +57,30 @@ def test_http_cache(benchmark, once, capsys):
     )
     with capsys.disabled():
         print()
-        print(result.render())
+        print(render_record(record))
 
-    payload = result.to_json()
     path = _out_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
     with capsys.disabled():
         print(f"wrote {path}")
 
     # Every leg served the identical replay, error-free.
-    assert result.raw_socket["errors"] == 0
-    assert result.cache_off["errors"] == 0
-    assert result.cache_on["errors"] == 0
-    assert result.cache_on["requests"] == result.cache_off["requests"]
+    assert record["raw_socket"]["errors"] == 0
+    assert record["cache_off"]["errors"] == 0
+    assert record["cache_on"]["errors"] == 0
+    assert record["cache_on"]["requests"] == record["cache_off"]["requests"]
 
     # The replay populated on pass 1 and served the rest from entries
     # (the identity probe adds one miss/store before the timed replay).
-    assert result.cache_counters.get("hits", 0) > 0
-    assert result.cache_counters.get("misses", 0) \
-        >= result.n_requests
+    assert record["cache_counters"].get("hits", 0) > 0
+    assert record["cache_counters"].get("misses", 0) >= record["n_requests"]
 
     # The correctness proofs baked into the record.
-    assert result.bit_identical
-    assert result.revalidated_304
+    assert record["bit_identical"]
+    assert record["revalidated_304"]
 
     # The headline: caching the front door pays for the whole stack —
     # at least 3x the uncached gateway on this replay.
-    assert result.speedup >= 3.0, (
-        f"cache-on/cache-off speedup {result.speedup:.2f}x < 3x"
+    assert record["speedup"] >= 3.0, (
+        f"cache-on/cache-off speedup {record['speedup']:.2f}x < 3x"
     )

@@ -29,7 +29,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.bench import run_http_qps_experiment
+from repro.bench import render_record, run_http_qps_experiment
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 
@@ -41,7 +41,7 @@ def _out_path() -> Path:
 
 
 def test_http_qps(benchmark, once, capsys):
-    result = once(
+    record = once(
         benchmark,
         run_http_qps_experiment,
         dataset_name="cyber",
@@ -57,44 +57,42 @@ def test_http_qps(benchmark, once, capsys):
     )
     with capsys.disabled():
         print()
-        print(result.render())
+        print(render_record(record))
 
-    payload = result.to_json()
     path = _out_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
     with capsys.disabled():
         print(f"wrote {path}")
 
     # The workload regenerated bit-identically for both legs.
-    assert result.schedule_fingerprint
-    assert result.raw_socket["schedule_fingerprint"] \
-        == result.schedule_fingerprint
-    assert result.gateway["schedule_fingerprint"] \
-        == result.schedule_fingerprint
+    raw, gateway = record["raw_socket"], record["gateway"]
+    assert record["schedule_fingerprint"]
+    assert raw["schedule_fingerprint"] == record["schedule_fingerprint"]
+    assert gateway["schedule_fingerprint"] == record["schedule_fingerprint"]
 
     # Both front ends served the whole workload, error-free (generated
     # degenerate states are rejected identically on both paths).
-    assert result.raw_socket["errors"] == 0
-    assert result.gateway["errors"] == 0
-    assert result.gateway["completed_requests"] \
-        == result.raw_socket["completed_requests"]
-    assert result.gateway["rejected"] == result.raw_socket["rejected"]
+    assert raw["errors"] == 0
+    assert gateway["errors"] == 0
+    assert gateway["completed_requests"] == raw["completed_requests"]
+    assert gateway["rejected"] == raw["rejected"]
 
     # Every tenant genuinely carried traffic through the front door.
-    assert len(result.tenant_served) == 3
-    assert all(count > 0 for count in result.tenant_served.values()), (
-        f"idle tenant: {result.tenant_served}"
+    tenants = record["tenant_served"]
+    assert len(tenants) == 3
+    assert all(count > 0 for count in tenants.values()), (
+        f"idle tenant: {tenants}"
     )
     # No request was shed: this record measures overhead, not admission.
-    assert result.gateway_status.get("4xx", 0) == 0
-    assert result.gateway_status.get("5xx", 0) == 0
+    assert record["gateway_status"].get("4xx", 0) == 0
+    assert record["gateway_status"].get("5xx", 0) == 0
 
     # The front door must stay in the same league as the raw socket.
     # Open-loop with think times is latency-tolerant, so the bar guards
     # against pathology (a serialized gateway, a per-request dial), not
     # against the honest per-request parsing cost.
-    assert result.gateway_fraction > 0.5, (
-        f"gateway delivers only {result.gateway_fraction:.2f}x the raw "
-        f"socket throughput ({result.gateway['achieved_qps']:.1f} vs "
-        f"{result.raw_socket['achieved_qps']:.1f} QPS)"
+    assert record["gateway_fraction"] > 0.5, (
+        f"gateway delivers only {record['gateway_fraction']:.2f}x the raw "
+        f"socket throughput ({gateway['achieved_qps']:.1f} vs "
+        f"{raw['achieved_qps']:.1f} QPS)"
     )

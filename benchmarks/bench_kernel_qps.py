@@ -26,7 +26,11 @@ import json
 import os
 from pathlib import Path
 
-from repro.bench import run_kernel_qps_experiment
+from repro.bench import (
+    best_tradeoff_point,
+    render_record,
+    run_kernel_qps_experiment,
+)
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +52,7 @@ def _committed_baseline_qps() -> float:
 
 
 def test_kernel_qps_and_greedy_approx_tradeoff(benchmark, once, capsys):
-    result = once(
+    record = once(
         benchmark,
         run_kernel_qps_experiment,
         dataset_name="cyber",
@@ -63,33 +67,32 @@ def test_kernel_qps_and_greedy_approx_tradeoff(benchmark, once, capsys):
     )
     with capsys.disabled():
         print()
-        print(result.render())
+        print(render_record(record))
 
-    payload = result.to_json()
     path = _out_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
     with capsys.disabled():
         print(f"wrote {path}")
 
     # Kernel claim: cold selects beat the committed baseline by 3x on the
     # same workload shape, and the profile shows the fast backend actually
     # ran faster than the reference loops it mirrors.
-    assert result.speedup_vs_committed >= BASELINE_MULTIPLE, (
-        f"cold QPS {result.cold['qps']:.1f} is only "
-        f"{result.speedup_vs_committed:.2f}x the committed "
-        f"{result.committed_baseline_qps:.1f} QPS baseline"
+    assert record["speedup_vs_committed"] >= BASELINE_MULTIPLE, (
+        f"cold QPS {record['cold']['qps']:.1f} is only "
+        f"{record['speedup_vs_committed']:.2f}x the committed "
+        f"{record['committed_baseline_qps']:.1f} QPS baseline"
     )
-    fast = result.profile["fast"]
-    reference = result.profile["reference"]
+    fast = record["profile"]["fast"]
+    reference = record["profile"]["reference"]
     assert fast["select_total"] > 0 and reference["select_total"] > 0
     assert fast["select_total"] < reference["select_total"], (
-        f"fast backend not faster end-to-end: {result.profile}"
+        f"fast backend not faster end-to-end: {record['profile']}"
     )
 
     # Approximation claim: on at least one registry dataset a sampled
     # point is >= 5x faster than exact greedy within 5% coverage loss.
-    assert len(result.tradeoff) >= 5, "tradeoff must sweep the registry"
-    best = result.best_tradeoff_point()
+    assert len(record["tradeoff"]) >= 5, "tradeoff must sweep the registry"
+    best = best_tradeoff_point(record)
     assert best is not None, "no sampled point within 5% coverage loss"
     assert best["speedup"] >= 5.0, (
         f"best within-5%-loss point is only {best['speedup']:.1f}x "

@@ -28,7 +28,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.bench import run_loadgen_experiment
+from repro.bench import render_record, run_loadgen_experiment
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 
@@ -43,7 +43,7 @@ def test_loadgen_knee(benchmark, once, capsys):
     # The two low rates leave headroom (long scheduled spans, warm LRU);
     # the top rate compresses 48 arrivals into under a second, which one
     # core cannot absorb — the knee must land between them.
-    result = once(
+    record = once(
         benchmark,
         run_loadgen_experiment,
         dataset_names=("cyber", "flights"),
@@ -58,41 +58,42 @@ def test_loadgen_knee(benchmark, once, capsys):
     )
     with capsys.disabled():
         print()
-        print(result.render())
+        print(render_record(record))
 
-    payload = result.to_json()
     path = _out_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
     with capsys.disabled():
         print(f"wrote {path}")
 
     # Open loop delivered: every rate ran every scheduled session to the
     # end with zero backend errors (generated degenerate states may be
     # rejected; that is workload shape, not serving failure).
-    assert len(result.runs) == 3
-    for record in result.runs.values():
-        assert record["completed_sessions"] == record["offered_sessions"]
-        assert record["errors"] == 0
-        assert record["completed_requests"] > 0
-        assert record["latency"]["count"] == record["completed_requests"]
+    runs = record["runs"]
+    assert len(runs) == 3
+    for run in runs.values():
+        assert run["completed_sessions"] == run["offered_sessions"]
+        assert run["errors"] == 0
+        assert run["completed_requests"] > 0
+        assert run["latency"]["count"] == run["completed_requests"]
 
     # The schedule is a pure function of its seed (the experiment builds
     # each one twice and compares), and the zipf mix touched every
     # dataset with rank-1 hottest.
-    assert result.schedule_fingerprint
-    mix = result.dataset_mix
+    assert record["schedule_fingerprint"]
+    mix = record["dataset_mix"]
     assert set(mix) == {"cyber", "flights"}
     assert mix["cyber"] > mix["flights"]
 
     # Latency percentiles are ordered and the knee exists at some rate.
-    for record in result.runs.values():
-        latency = record["latency"]
+    for run in runs.values():
+        latency = run["latency"]
         assert latency["p50"] <= latency["p95"] <= latency["p99"]
-    assert result.knee is not None, "even the lowest rate saturated"
+    assert record["knee"] is not None, "even the lowest rate saturated"
 
     # Trace ids crossed the socket hop: the client reassembled per-stage
     # timings for both its own stages and the server-side ones.
-    assert result.trace_example and result.trace_example["id"]
-    stages = {stage["stage"] for stage in result.trace_example["stages"]}
+    example = record["trace_example"]
+    assert example and example["id"]
+    stages = {stage["stage"] for stage in example["stages"]}
     assert {"server", "transport"} <= stages
-    assert {"client_queue", "transport", "server"} <= set(result.trace_stages)
+    assert {"client_queue", "transport", "server"} <= set(record["trace_stages"])

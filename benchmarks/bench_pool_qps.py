@@ -25,7 +25,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.bench import run_pool_qps_experiment
+from repro.bench import render_record, run_pool_qps_experiment
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 
@@ -37,7 +37,7 @@ def _out_path() -> Path:
 
 
 def test_pool_qps_vs_single_warm_lru(benchmark, once, capsys):
-    result = once(
+    record = once(
         benchmark,
         run_pool_qps_experiment,
         dataset_name="cyber",
@@ -52,28 +52,28 @@ def test_pool_qps_vs_single_warm_lru(benchmark, once, capsys):
     )
     with capsys.disabled():
         print()
-        print(result.render())
+        print(render_record(record))
 
-    payload = result.to_json()
     path = _out_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True))
     with capsys.disabled():
         print(f"wrote {path}")
 
     # The pool must actually pool: every worker served requests, the
     # sharded LRUs caught the repeated rounds, and aggregate throughput
     # beats the single warm process by the reproduction target's margin.
-    assert result.n_states > result.cache_size, (
+    pool, baseline = record["pool"], record["baseline"]
+    assert record["n_states"] > record["cache_size"], (
         "workload too small to stress the single-process LRU"
     )
-    assert result.pool["served"] == result.baseline["served"]
-    assert all(count > 0 for count in result.pool["per_worker"].values()), (
-        f"idle workers: {result.pool['per_worker']}"
+    assert pool["served"] == baseline["served"]
+    assert all(count > 0 for count in pool["per_worker"].values()), (
+        f"idle workers: {pool['per_worker']}"
     )
-    assert result.pool["hits"] >= result.n_states * (result.rounds - 2), (
-        f"sharded LRUs missed repeated rounds: {result.pool}"
+    assert pool["hits"] >= record["n_states"] * (record["rounds"] - 2), (
+        f"sharded LRUs missed repeated rounds: {pool}"
     )
-    assert result.speedup >= 2.0, (
-        f"pooled QPS {result.pool['qps']:.1f} is only {result.speedup:.2f}x "
-        f"the single-process baseline {result.baseline['qps']:.1f}"
+    assert record["qps_speedup"] >= 2.0, (
+        f"pooled QPS {pool['qps']:.1f} is only {record['qps_speedup']:.2f}x "
+        f"the single-process baseline {baseline['qps']:.1f}"
     )

@@ -17,7 +17,7 @@ The package implements the SubTab framework end to end:
   ``ArtifactStore`` of named versioned artifacts, and the ``Workspace``
   multi-dataset front door;
 * :mod:`repro.serve` — multi-process serving: ``EnginePool`` warm-start
-  worker pools (plus the deprecated ``SubTabService`` shim);
+  worker pools;
 * :mod:`repro.datasets` — synthetic stand-ins for the paper's six datasets;
 * :mod:`repro.study` — simulated user study (Table 1, Fig. 5);
 * :mod:`repro.hardness` — executable reductions behind Propositions 4.1/4.2.
@@ -53,7 +53,7 @@ from repro.core import (
 from repro.frame import Column, DataFrame, read_csv, to_csv
 from repro.metrics import Scores, SubTableScorer
 from repro.rules import AssociationRule, RuleMiner
-from repro.serve import EnginePool, SubTabService
+from repro.serve import EnginePool
 
 __version__ = "1.2.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "Selector",
     "SubTab",
     "SubTabConfig",
-    "SubTabService",
     "SubTable",
     "SubTableScorer",
     "Workspace",

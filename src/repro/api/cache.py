@@ -1,9 +1,7 @@
 """Selection caching primitives shared by the Engine and the serving layer.
 
-Historically these lived in :mod:`repro.serve.service`; they moved here when
-the serving layer was re-layered on :class:`repro.api.Engine` so that the
-Engine (which every selector now runs behind) owns the memoization.  The
-:mod:`repro.serve` module keeps re-exporting them.
+The :class:`repro.api.Engine`, which every selector runs behind, owns the
+memoization; :mod:`repro.serve` re-exports these primitives.
 """
 
 from __future__ import annotations

@@ -148,12 +148,18 @@ class GreedySelector(BaseSelector):
             self._rules = miner.mine(self._binned)
         self._evaluator = CoverageEvaluator(self._binned, self._rules)
 
+    def _select_rng(self) -> np.random.Generator:
+        """The generator one select draws its column order and row samples
+        from (the sampling-based approximation overrides this hook)."""
+        return self._rng
+
     def _row_selection(
         self,
         evaluator: CoverageEvaluator,
         columns: Sequence[str],
         k: int,
         candidate_rows: np.ndarray,
+        rng: np.random.Generator,
     ) -> tuple[list[int], float]:
         """Row stage for one column subset; subclasses swap the strategy
         (the sampling-based approximation overrides this hook)."""
@@ -178,11 +184,12 @@ class GreedySelector(BaseSelector):
         best_cov = -1.0
         best: tuple[list[int], tuple[str, ...]] | None = None
         n_seen = 0
+        rng = self._select_rng()
         for subset in iterate_column_subsets(
-            columns, l, targets, order=self.order, rng=self._rng
+            columns, l, targets, order=self.order, rng=rng
         ):
             selected_rows, cov = self._row_selection(
-                evaluator, subset, min(k, len(rows)), rows
+                evaluator, subset, min(k, len(rows)), rows, rng
             )
             if cov > best_cov:
                 best_cov = cov

@@ -21,12 +21,11 @@ not statefulness, for stochastic selectors.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.greedy import GreedySelector
-from repro.binning.pipeline import BinnedTable
 from repro.metrics.coverage import CoverageEvaluator, IncrementalCoverage
 from repro.rules.miner import RuleMiner
 from repro.rules.rule import AssociationRule
@@ -160,21 +159,11 @@ class ApproxGreedySelector(GreedySelector):
         self.epsilon = epsilon
         self.min_sample = min_sample
 
-    def _select_from_view(
-        self,
-        view: BinnedTable,
-        rows: np.ndarray,
-        columns: list[str],
-        k: int,
-        l: int,
-        targets: list[str],
-        modes: Mapping[str, str],
-    ) -> tuple[list[int], list[str]]:
-        # Fresh stream per select: replayable on every serving topology
-        # (pool workers, remote sessions) regardless of request history.
-        self._rng = ensure_rng(self._seed)
-        return super()._select_from_view(view, rows, columns, k, l, targets,
-                                         modes)
+    def _select_rng(self) -> np.random.Generator:
+        # Fresh stream per select, owned by that select: replayable on
+        # every serving topology (pool workers, remote sessions) regardless
+        # of request history, and private to the call when selects race.
+        return ensure_rng(self._seed)
 
     def _row_selection(
         self,
@@ -182,12 +171,13 @@ class ApproxGreedySelector(GreedySelector):
         columns: Sequence[str],
         k: int,
         candidate_rows: np.ndarray,
+        rng: np.random.Generator,
     ) -> tuple[list[int], float]:
         return stochastic_greedy_row_selection(
             evaluator,
             columns,
             k,
-            self._rng,
+            rng,
             candidate_rows=candidate_rows,
             sample_rate=self.sample_rate,
             epsilon=self.epsilon,

@@ -10,7 +10,7 @@ reproduction target, and the benchmark suite asserts exactly those shapes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_bars, format_series, format_table
 from repro.binning.normalize import normalize_table
 from repro.binning.pipeline import TableBinner
-from repro.core.config import SubTabConfig
 from repro.metrics.combined import Scores, SubTableScorer
 from repro.metrics.coverage import CoverageEvaluator
 from repro.queries.generator import SessionGenerator
@@ -496,2070 +495,3 @@ def run_user_study_experiment(
     return UserStudyExperimentResult(
         study=study, ratings=ratings, n_participants=n_participants
     )
-
-
-# ---------------------------------------------------------------------------
-# Session-serving latency — cold vs. cached select() over EDA sessions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ServeSessionResult:
-    """Latency split of the serving layer over replayed EDA sessions.
-
-    ``cold_times`` holds one wall-clock sample per *distinct* session state
-    (every select runs the full selection pipeline); ``cached_times`` holds
-    one sample per replayed step (every select is an LRU hit).  The ratio of
-    the two means is the session-replay speedup the serving layer buys.
-    """
-
-    dataset: str
-    n_sessions: int
-    k: int
-    l: int
-    fit_seconds: float
-    algorithm: str = "subtab"
-    cold_times: list = field(default_factory=list)
-    cached_times: list = field(default_factory=list)
-    failures: int = 0
-    cache: dict = field(default_factory=dict)
-
-    @property
-    def cold_mean(self) -> float:
-        return sum(self.cold_times) / len(self.cold_times) if self.cold_times else 0.0
-
-    @property
-    def cached_mean(self) -> float:
-        return (
-            sum(self.cached_times) / len(self.cached_times)
-            if self.cached_times
-            else 0.0
-        )
-
-    @property
-    def speedup(self) -> float:
-        return self.cold_mean / self.cached_mean if self.cached_mean else 0.0
-
-    def to_json(self) -> dict:
-        """JSON-serializable record for the benchmark trajectory."""
-        return {
-            "experiment": "serve_sessions",
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "n_sessions": self.n_sessions,
-            "k": self.k,
-            "l": self.l,
-            "fit_seconds": self.fit_seconds,
-            "n_cold_selects": len(self.cold_times),
-            "n_cached_selects": len(self.cached_times),
-            "cold_total_seconds": sum(self.cold_times),
-            "cached_total_seconds": sum(self.cached_times),
-            "cold_mean_seconds": self.cold_mean,
-            "cached_mean_seconds": self.cached_mean,
-            "speedup": self.speedup,
-            "failures": self.failures,
-            "cache": dict(self.cache),
-        }
-
-    def render(self) -> str:
-        rows = [
-            ["cold", len(self.cold_times), sum(self.cold_times), self.cold_mean],
-            [
-                "cached",
-                len(self.cached_times),
-                sum(self.cached_times),
-                self.cached_mean,
-            ],
-        ]
-        table = format_table(
-            f"Session serving latency ({self.algorithm} on {self.dataset}, "
-            f"{self.n_sessions} sessions, k={self.k}, l={self.l})",
-            ["pass", "# selects", "total s", "mean s"],
-            rows,
-        )
-        return (
-            f"{table}\n"
-            f"replay speedup: {self.speedup:.1f}x   "
-            f"cache: {self.cache}   failures: {self.failures}"
-        )
-
-
-def run_serve_session_experiment(
-    dataset_name: str = "cyber",
-    n_sessions: int = 12,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    cache_size: int = 1024,
-    subtab_config: Optional[SubTabConfig] = None,
-    algorithm: str = "subtab",
-    selector_options: Optional[dict] = None,
-) -> ServeSessionResult:
-    """Measure cold vs. cached ``select()`` latency over EDA sessions.
-
-    Cold pass: every *distinct* session state is selected once with an empty
-    LRU (full pipeline per call).  Cached pass: the sessions are then
-    replayed step by step, so every select is answered from the LRU — the
-    serving layer's session-replay path.  Since the serving layer moved to
-    :class:`repro.api.Engine`, any registered ``algorithm`` can be measured,
-    not just subtab.
-    """
-    from repro.api import Engine, SelectionRequest, query_fingerprint
-
-    bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-    config = subtab_config or SubTabConfig(k=k, l=l, seed=seed)
-    engine = Engine(
-        algorithm,
-        config=config,
-        selector_options=selector_options,
-        cache_size=cache_size,
-    )
-    fit_start = time.perf_counter()
-    engine.fit(bundle.frame, binned=bundle.binned)
-    fit_seconds = time.perf_counter() - fit_start
-
-    sessions = SessionGenerator(
-        bundle.binned,
-        pattern_columns=bundle.dataset.pattern_columns,
-        seed=seed,
-    ).generate(n_sessions, name=dataset_name)
-
-    result = ServeSessionResult(
-        dataset=bundle.name,
-        n_sessions=n_sessions,
-        k=k,
-        l=l,
-        fit_seconds=fit_seconds,
-        algorithm=engine.algorithm,
-    )
-
-    # Cold pass: one select per distinct state, nothing memoized yet.
-    engine.clear_cache()
-    seen: set = set()
-    distinct_states = []
-    for session in sessions:
-        for step in session:
-            fingerprint = query_fingerprint(step.state)
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                distinct_states.append(step.state)
-    for state in distinct_states:
-        start = time.perf_counter()
-        try:
-            engine.select(SelectionRequest(k=k, l=l, query=state))
-        except ValueError:
-            result.failures += 1
-            continue
-        result.cold_times.append(time.perf_counter() - start)
-
-    # Cached pass: replay every session step; repeats are LRU hits.
-    for session in sessions:
-        for step in session:
-            start = time.perf_counter()
-            try:
-                engine.select(SelectionRequest(k=k, l=l, query=step.state))
-            except ValueError:
-                continue
-            result.cached_times.append(time.perf_counter() - start)
-
-    stats = engine.cache_stats
-    result.cache = {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "size": stats.size,
-        "maxsize": stats.maxsize,
-    }
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Pooled serving throughput — single warm engine vs. EnginePool
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PoolQPSResult:
-    """Aggregate QPS of a warm-start :class:`~repro.serve.EnginePool` vs. one
-    warm single-process engine, on the same cyclic session workload.
-
-    Both sides warm-start from the same saved artifact (preprocessing cost
-    0) and run the same selection-LRU capacity *per process*.  The workload
-    cycles ``rounds`` times over ``n_states`` distinct session states with
-    ``n_states`` chosen larger than one process's LRU — the cyclic access
-    pattern is LRU's worst case, so the single process recomputes every
-    display, while hash-routed pooling shards the states across workers
-    (aggregate capacity ``workers x cache_size``) and serves repeats warm.
-    On a single core that cache sharding is the entire pooled win; on
-    multi-core hosts CPU parallelism compounds it.
-    """
-
-    dataset: str
-    algorithm: str
-    k: int
-    l: int
-    n_states: int
-    rounds: int
-    workers: int
-    cache_size: int
-    routing: str
-    fit_seconds: float
-    baseline: dict = field(default_factory=dict)
-    pool: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        base = self.baseline.get("qps", 0.0)
-        return self.pool.get("qps", 0.0) / base if base else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": "pool_qps",
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "l": self.l,
-            "n_states": self.n_states,
-            "rounds": self.rounds,
-            "workers": self.workers,
-            "cache_size": self.cache_size,
-            "routing": self.routing,
-            "fit_seconds": self.fit_seconds,
-            "baseline": dict(self.baseline),
-            "pool": dict(self.pool),
-            "qps_speedup": self.speedup,
-        }
-
-    def render(self) -> str:
-        rows = [
-            ["single warm engine", self.baseline["served"],
-             self.baseline["seconds"], self.baseline["qps"]],
-            [f"EnginePool x{self.workers}", self.pool["served"],
-             self.pool["seconds"], self.pool["qps"]],
-        ]
-        table = format_table(
-            f"Pooled serving QPS ({self.algorithm} on {self.dataset}, "
-            f"{self.n_states} states x {self.rounds} rounds, "
-            f"cache={self.cache_size}/process, routing={self.routing})",
-            ["serving path", "# selects", "total s", "QPS"],
-            rows,
-        )
-        return (
-            f"{table}\n"
-            f"aggregate QPS speedup: {self.speedup:.1f}x   "
-            f"baseline cache: {self.baseline['hits']}h/"
-            f"{self.baseline['misses']}m   "
-            f"pool cache: {self.pool['hits']}h/{self.pool['misses']}m   "
-            f"pool startup: {self.pool['startup_seconds']:.2f}s"
-        )
-
-
-def run_pool_qps_experiment(
-    dataset_name: str = "cyber",
-    n_sessions: int = 12,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    workers: int = 4,
-    rounds: int = 6,
-    max_states: int = 48,
-    shard_slack: float = 2.0,
-    routing: str = "hash",
-    artifact_dir: Optional[str] = None,
-    algorithm: str = "subtab",
-) -> PoolQPSResult:
-    """Measure single-process warm-LRU QPS vs. pooled aggregate QPS.
-
-    Fits one engine, saves the artifact, and serves the same workload two
-    ways: a single ``Engine.load``-ed process, and an
-    :class:`~repro.serve.EnginePool` of ``workers`` processes warm-started
-    from that artifact.  Per-process LRU capacity is
-    ``ceil(shard_slack * n_states / workers)`` on both sides — the slack
-    over the mean shard size absorbs content-hash imbalance so each
-    hash-routed worker's shard fits its LRU, while one process still cannot
-    hold the whole working set.
-    """
-    import shutil
-    import tempfile
-
-    from repro.api import Engine
-
-    bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-    config = SubTabConfig(k=k, l=l, seed=seed)
-    engine = Engine(algorithm, config=config)
-    fit_start = time.perf_counter()
-    engine.fit(bundle.frame, binned=bundle.binned)
-    fit_seconds = time.perf_counter() - fit_start
-    artifact = artifact_dir or tempfile.mkdtemp(prefix="repro-pool-qps-")
-    try:
-        return _pool_qps_workload(
-            engine, artifact, bundle, fit_seconds,
-            n_sessions=n_sessions, dataset_name=dataset_name, k=k, l=l,
-            seed=seed, workers=workers, rounds=rounds, max_states=max_states,
-            shard_slack=shard_slack, routing=routing,
-        )
-    finally:
-        if artifact_dir is None:  # only clean up the directory we created
-            shutil.rmtree(artifact, ignore_errors=True)
-
-
-def _servable_session_states(
-    engine, bundle, *, n_sessions, dataset_name, k, l, seed, max_states,
-) -> list:
-    """Distinct, servable session states of a generated workload.
-
-    Degenerate states would fail on every serving path; excluding them up
-    front keeps the compared workloads identical.  Shared by the pool and
-    cluster QPS experiments so both measure the same kind of cyclic,
-    LRU-adversarial session traffic.
-    """
-    from repro.api import SelectionRequest, query_fingerprint
-
-    sessions = SessionGenerator(
-        bundle.binned,
-        pattern_columns=bundle.dataset.pattern_columns,
-        seed=seed,
-    ).generate(n_sessions, name=dataset_name)
-    seen: set = set()
-    states = []
-    for session in sessions:
-        for step in session:
-            fingerprint = query_fingerprint(step.state)
-            if fingerprint in seen or len(states) >= max_states:
-                continue
-            seen.add(fingerprint)
-            try:
-                engine.select(SelectionRequest(k=k, l=l, query=step.state,
-                                               use_cache=False))
-            except ValueError:
-                continue
-            states.append(step.state)
-    return states
-
-
-def _pool_qps_workload(
-    engine, artifact, bundle, fit_seconds, *, n_sessions, dataset_name,
-    k, l, seed, workers, rounds, max_states, shard_slack, routing,
-) -> PoolQPSResult:
-    """Serve the session workload through both paths (see the caller)."""
-    import math
-
-    from repro.api import Engine, SelectionRequest
-    from repro.serve import EnginePool
-
-    engine.save(artifact)
-    states = _servable_session_states(
-        engine, bundle, n_sessions=n_sessions, dataset_name=dataset_name,
-        k=k, l=l, seed=seed, max_states=max_states,
-    )
-    n_states = len(states)
-    cache_size = max(1, math.ceil(shard_slack * n_states / workers))
-    requests = [SelectionRequest(k=k, l=l, query=state) for state in states]
-    workload = requests * rounds  # cyclic: LRU-adversarial for one process
-
-    result = PoolQPSResult(
-        dataset=bundle.name,
-        algorithm=engine.algorithm,
-        k=k,
-        l=l,
-        n_states=n_states,
-        rounds=rounds,
-        workers=workers,
-        cache_size=cache_size,
-        routing=routing,
-        fit_seconds=fit_seconds,
-    )
-
-    # Baseline: one warm-started process, same per-process LRU capacity.
-    single = Engine.load(artifact, cache_size=cache_size)
-    start = time.perf_counter()
-    for request in workload:
-        single.select(request)
-    seconds = time.perf_counter() - start
-    stats = single.cache_stats
-    result.baseline = {
-        "served": len(workload),
-        "seconds": seconds,
-        "qps": len(workload) / seconds if seconds else 0.0,
-        "hits": stats.hits,
-        "misses": stats.misses,
-    }
-
-    # Pool: N workers warm-started from the same artifact.  The recorded
-    # dict is PoolStats' shared JSON shape, so the pool and cluster bench
-    # records carry comparable fields.
-    with EnginePool(artifact, workers=workers, cache_size=cache_size,
-                    routing=routing) as pool:
-        pool.select_many(workload)
-        result.pool = pool.stats.to_json()
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Cluster QPS — consistent-hash members over the socket transport
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClusterQPSResult:
-    """Aggregate QPS of 1, 2, 4, ... socket-served cluster members.
-
-    ``members`` maps the member count (as a string, for JSON stability) to
-    that run's serving record — the same ``served``/``seconds``/``qps``/
-    ``hits``/``misses`` fields the pool benchmark records, so the two
-    trajectory files compare column for column.
-    """
-
-    dataset: str
-    algorithm: str
-    k: int
-    l: int
-    n_states: int
-    rounds: int
-    member_counts: tuple
-    workers_per_member: int
-    cache_size: int
-    fit_seconds: float
-    baseline: dict = field(default_factory=dict)
-    members: dict = field(default_factory=dict)
-    pool_reference: Optional[dict] = None
-
-    def qps(self, count: int) -> float:
-        return self.members[str(count)]["qps"]
-
-    @property
-    def scaling(self) -> dict:
-        """QPS of each member count relative to the 1-member cluster."""
-        base = self.qps(self.member_counts[0])
-        return {
-            str(count): (self.qps(count) / base if base else 0.0)
-            for count in self.member_counts
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": "cluster_qps",
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "l": self.l,
-            "n_states": self.n_states,
-            "rounds": self.rounds,
-            "member_counts": list(self.member_counts),
-            "workers_per_member": self.workers_per_member,
-            "cache_size": self.cache_size,
-            "transport": "socket",
-            "fit_seconds": self.fit_seconds,
-            "baseline": dict(self.baseline),
-            "members": {key: dict(value) for key, value in self.members.items()},
-            "qps_scaling": self.scaling,
-            "pool_reference": self.pool_reference,
-        }
-
-    def render(self) -> str:
-        rows = [
-            ["single warm engine", self.baseline["served"],
-             self.baseline["seconds"], self.baseline["qps"]],
-        ]
-        for count in self.member_counts:
-            record = self.members[str(count)]
-            rows.append([
-                f"cluster x{count} (socket)", record["served"],
-                record["seconds"], record["qps"],
-            ])
-        table = format_table(
-            f"Cluster serving QPS ({self.algorithm} on {self.dataset}, "
-            f"{self.n_states} states x {self.rounds} rounds, "
-            f"cache={self.cache_size}/member, "
-            f"{self.workers_per_member} worker(s)/member)",
-            ["serving path", "# selects", "total s", "QPS"],
-            rows,
-        )
-        scaling = "   ".join(
-            f"x{count}: {self.scaling[str(count)]:.1f}x"
-            for count in self.member_counts
-        )
-        reference = ""
-        if self.pool_reference:
-            reference = (
-                f"\nsingle-host pool reference "
-                f"(BENCH_pool_qps.json): pool QPS "
-                f"{self.pool_reference['pool_qps']:.1f} over baseline "
-                f"{self.pool_reference['baseline_qps']:.1f}"
-            )
-        return f"{table}\nQPS scaling vs 1 member: {scaling}{reference}"
-
-
-def run_cluster_qps_experiment(
-    dataset_name: str = "cyber",
-    n_sessions: int = 12,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    member_counts: Sequence[int] = (1, 2, 4),
-    workers_per_member: int = 1,
-    rounds: int = 6,
-    max_states: int = 48,
-    shard_slack: float = 2.0,
-    pool_reference_path: Optional[str] = None,
-    artifact_dir: Optional[str] = None,
-    algorithm: str = "subtab",
-) -> ClusterQPSResult:
-    """Measure aggregate QPS across 1 -> 2 -> 4 socket-served members.
-
-    Fits one engine, saves the artifact, and serves the same cyclic
-    session workload through consistent-hash clusters of growing size;
-    every member is a real subprocess socket server warm-starting from the
-    shared artifact (``Engine.load`` — the paper's phase split is what
-    makes member startup cheap; the artifact layout is what makes shipping
-    it to real hosts an rsync).  Per-member LRU capacity is fixed at
-    ``ceil(shard_slack * n_states / max(member_counts))`` for every run,
-    so aggregate cache capacity grows with the ring: one member thrashes
-    its LRU, the full ring holds the whole working set — the same sharding
-    effect :func:`run_pool_qps_experiment` measures in-process, now across
-    the host-boundary transport.
-
-    ``pool_reference_path`` may name a committed pool-bench record whose
-    baseline/pool QPS are embedded for side-by-side trajectory reading.
-    """
-    import json as json_module
-    import math
-    import shutil
-    import tempfile
-    from pathlib import Path as PathType
-
-    from repro.api import Engine, SelectionRequest
-    from repro.serve import ClusterRouter, spawn_artifact_server
-
-    bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-    config = SubTabConfig(k=k, l=l, seed=seed)
-    engine = Engine(algorithm, config=config)
-    fit_start = time.perf_counter()
-    engine.fit(bundle.frame, binned=bundle.binned)
-    fit_seconds = time.perf_counter() - fit_start
-    artifact = artifact_dir or tempfile.mkdtemp(prefix="repro-cluster-qps-")
-    try:
-        engine.save(artifact)
-        states = _servable_session_states(
-            engine, bundle, n_sessions=n_sessions, dataset_name=dataset_name,
-            k=k, l=l, seed=seed, max_states=max_states,
-        )
-        n_states = len(states)
-        cache_size = max(
-            1, math.ceil(shard_slack * n_states / max(member_counts))
-        )
-        requests = [SelectionRequest(k=k, l=l, query=state)
-                    for state in states]
-        workload = requests * rounds  # cyclic: LRU-adversarial per member
-
-        result = ClusterQPSResult(
-            dataset=bundle.name,
-            algorithm=engine.algorithm,
-            k=k,
-            l=l,
-            n_states=n_states,
-            rounds=rounds,
-            member_counts=tuple(member_counts),
-            workers_per_member=workers_per_member,
-            cache_size=cache_size,
-            fit_seconds=fit_seconds,
-        )
-
-        # Baseline: one warm-started in-process engine with one member's
-        # LRU capacity (the same baseline shape the pool bench records).
-        single = Engine.load(artifact, cache_size=cache_size)
-        start = time.perf_counter()
-        for request in workload:
-            single.select(request)
-        seconds = time.perf_counter() - start
-        stats = single.cache_stats
-        result.baseline = {
-            "served": len(workload),
-            "seconds": seconds,
-            "qps": len(workload) / seconds if seconds else 0.0,
-            "hits": stats.hits,
-            "misses": stats.misses,
-        }
-
-        for count in member_counts:
-            servers = [
-                spawn_artifact_server(
-                    artifact,
-                    workers=workers_per_member,
-                    cache_size=cache_size,
-                )
-                for _ in range(count)
-            ]
-            try:
-                router = ClusterRouter(
-                    [(f"m{i}", server.connect())
-                     for i, server in enumerate(servers)],
-                    replication=1,  # pure sharding: QPS, not failover
-                )
-                start = time.perf_counter()
-                router.select_many(workload)
-                seconds = time.perf_counter() - start
-                cluster_stats = router.stats()
-                router.close()
-            finally:
-                for server in servers:
-                    server.close()
-            result.members[str(count)] = {
-                "served": cluster_stats["served"],
-                "errors": cluster_stats["errors"],
-                "seconds": seconds,
-                "qps": cluster_stats["served"] / seconds if seconds else 0.0,
-                "failovers": cluster_stats["failovers"],
-                "per_member": {
-                    member["name"]: member["served"]
-                    for member in cluster_stats["members"]
-                },
-            }
-
-        if pool_reference_path:
-            reference_file = PathType(pool_reference_path)
-            if reference_file.is_file():
-                record = json_module.loads(reference_file.read_text())
-                result.pool_reference = {
-                    "baseline_qps": record["baseline"]["qps"],
-                    "pool_qps": record["pool"]["qps"],
-                    "workers": record["workers"],
-                    "routing": record["routing"],
-                }
-        return result
-    finally:
-        if artifact_dir is None:  # only clean up the directory we created
-            shutil.rmtree(artifact, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# Open-loop load harness — saturation knee over a zipf multi-dataset mix
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LoadgenResult:
-    """An open-loop arrival-rate sweep against one multi-dataset server.
-
-    Thousands of simulated analysts (well, ``n_sessions`` of them per
-    rate — the harness scales by knob, not by code path) explore a
-    zipf-skewed dataset mix through a pipelined
-    :class:`~repro.serve.AsyncRemoteBackend`.  Because arrivals are
-    open-loop, raising ``arrival_rate`` past capacity grows queueing
-    delay instead of throttling offered load: ``runs`` records each
-    rate's latency percentiles and achieved/offered ratio, and ``knee``
-    is the highest rate still delivering ≥90% of what was offered.
-
-    ``trace_stages`` carries the client-side p50 of each per-request
-    trace stage (client queue, transport, server, backend, select) and
-    ``trace_example`` one complete trace — both cross a real socket hop,
-    which is the end-to-end proof the telemetry substrate works.
-    """
-
-    datasets: tuple
-    seed: int
-    k: int
-    l: int
-    n_sessions: int
-    sessions_per_dataset: int
-    mean_think_seconds: float
-    zipf_exponent: float
-    window: int
-    cache_size: int
-    fit_seconds: dict = field(default_factory=dict)
-    dataset_mix: dict = field(default_factory=dict)
-    runs: dict = field(default_factory=dict)  # {rate-as-string: report json}
-    knee: Optional[dict] = None
-    trace_stages: dict = field(default_factory=dict)
-    trace_example: Optional[dict] = None
-    schedule_fingerprint: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": "loadgen",
-            "datasets": list(self.datasets),
-            "seed": self.seed,
-            "k": self.k,
-            "l": self.l,
-            "n_sessions": self.n_sessions,
-            "sessions_per_dataset": self.sessions_per_dataset,
-            "mean_think_seconds": self.mean_think_seconds,
-            "zipf_exponent": self.zipf_exponent,
-            "window": self.window,
-            "cache_size": self.cache_size,
-            "transport": "asyncio",
-            "fit_seconds": dict(self.fit_seconds),
-            "dataset_mix": dict(self.dataset_mix),
-            "runs": {key: dict(value) for key, value in self.runs.items()},
-            "knee": self.knee,
-            "trace_stages": dict(self.trace_stages),
-            "trace_example": self.trace_example,
-            "schedule_fingerprint": self.schedule_fingerprint,
-        }
-
-    def render(self) -> str:
-        rows = []
-        for rate, record in self.runs.items():
-            latency = record["latency"]
-            rows.append([
-                rate,
-                record["offered_qps"],
-                record["achieved_qps"],
-                record["saturation_ratio"],
-                latency.get("p50", 0.0),
-                latency.get("p99", 0.0),
-                record["errors"],
-            ])
-        table = format_table(
-            f"Open-loop load sweep ({'+'.join(self.datasets)}, "
-            f"{self.n_sessions} sessions/rate, zipf "
-            f"s={self.zipf_exponent}, window={self.window})",
-            ["sessions/s", "offered QPS", "achieved QPS", "ratio",
-             "p50 s", "p99 s", "errors"],
-            rows,
-        )
-        knee = (
-            f"saturation knee: {self.knee['arrival_rate']:g} sessions/s "
-            f"({self.knee['achieved_qps']:.1f} QPS achieved)"
-            if self.knee else "saturation knee: below the lowest rate"
-        )
-        stages = "   ".join(
-            f"{stage}: {p50 * 1e3:.2f}ms"
-            for stage, p50 in self.trace_stages.items()
-        )
-        return (
-            f"{table}\n{knee}\n"
-            f"trace stage p50 over the socket hop: {stages}\n"
-            f"dataset mix (zipf): {self.dataset_mix}   "
-            f"schedule fingerprint: {self.schedule_fingerprint}"
-        )
-
-
-def run_loadgen_experiment(
-    dataset_names: Sequence[str] = ("cyber", "flights"),
-    arrival_rates: Sequence[float] = (4.0, 8.0, 16.0),
-    n_sessions: int = 24,
-    sessions_per_dataset: int = 8,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    mean_think_seconds: float = 0.02,
-    zipf_exponent: float = 1.1,
-    window: int = 64,
-    cache_size: int = 256,
-    max_sessions: int = 64,
-    store_dir: Optional[str] = None,
-) -> LoadgenResult:
-    """Sweep open-loop arrival rates against a store-backed async server.
-
-    Fits one engine per dataset, saves them into an
-    :class:`~repro.api.ArtifactStore`, spawns a multi-dataset
-    :func:`~repro.serve.spawn_store_server` subprocess (asyncio
-    transport), and replays the *same* seeded session pool at each
-    arrival rate through one pipelined tracing client.  The schedule for
-    each rate is built twice and the fingerprints compared — a committed
-    record is therefore also a proof the workload regenerates bit-
-    identically from its seed.
-    """
-    import shutil
-    import tempfile
-
-    from repro.api import ArtifactStore, Engine
-    from repro.loadgen import build_schedule, find_knee, run_open_loop, \
-        sample_sessions
-    from repro.serve import AsyncRemoteBackend, spawn_store_server
-
-    result = LoadgenResult(
-        datasets=tuple(dataset_names),
-        seed=seed,
-        k=k,
-        l=l,
-        n_sessions=n_sessions,
-        sessions_per_dataset=sessions_per_dataset,
-        mean_think_seconds=mean_think_seconds,
-        zipf_exponent=zipf_exponent,
-        window=window,
-        cache_size=cache_size,
-    )
-    root = store_dir or tempfile.mkdtemp(prefix="repro-loadgen-")
-    try:
-        store = ArtifactStore(root)
-        sessions_by_dataset: dict = {}
-        for name in dataset_names:
-            bundle = load_bundle(name, n_rows=n_rows, seed=seed)
-            engine = Engine("subtab", config=SubTabConfig(k=k, l=l, seed=seed))
-            fit_start = time.perf_counter()
-            engine.fit(bundle.frame, binned=bundle.binned)
-            result.fit_seconds[name] = time.perf_counter() - fit_start
-            store.save(name, engine)
-            sessions_by_dataset[name] = sample_sessions(
-                bundle.binned,
-                dataset=name,
-                n_sessions=sessions_per_dataset,
-                seed=seed,
-                k=k,
-                l=l,
-                pattern_columns=bundle.dataset.pattern_columns,
-            )
-
-        def schedule_at(rate: float):
-            return build_schedule(
-                sessions_by_dataset,
-                seed=seed,
-                arrival_rate=rate,
-                n_sessions=n_sessions,
-                mean_think_seconds=mean_think_seconds,
-                zipf_exponent=zipf_exponent,
-            )
-
-        with spawn_store_server(
-            root, capacity=max(4, len(dataset_names)),
-            cache_size=cache_size, transport="asyncio",
-        ) as server:
-            backend = AsyncRemoteBackend(
-                server.address, window=window, trace=True
-            )
-            try:
-                reports = []
-                for rate in arrival_rates:
-                    schedule = schedule_at(rate)
-                    rebuilt = schedule_at(rate).fingerprint()
-                    if schedule.fingerprint() != rebuilt:
-                        raise RuntimeError(
-                            f"schedule at rate {rate} is not reproducible "
-                            f"from seed {seed}"
-                        )
-                    report = run_open_loop(
-                        backend, schedule, max_sessions=max_sessions
-                    )
-                    reports.append(report)
-                    result.runs[f"{rate:g}"] = report.to_json()
-                    if not result.dataset_mix:
-                        result.dataset_mix = schedule.dataset_mix()
-                        result.schedule_fingerprint = schedule.fingerprint()
-                knee = find_knee(reports)
-                result.knee = knee.to_json() if knee else None
-                metrics = backend.metrics.snapshot()
-                result.trace_stages = {
-                    name.split(".", 1)[1]: snapshot["p50"]
-                    for name, snapshot in metrics.items()
-                    if name.startswith("trace.")
-                }
-                result.trace_example = backend.last_trace
-            finally:
-                backend.close()
-        return result
-    finally:
-        if store_dir is None:  # only clean up the directory we created
-            shutil.rmtree(root, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# Async QPS — pipelined transport and read-from-replica routing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AsyncQPSResult:
-    """Two claims of the asyncio transport, measured on one machine.
-
-    **Pipelining** (one member): the sync :class:`~repro.serve
-    .RemoteBackend` serializes a full round trip per request, so encode,
-    socket, dispatch, and decode never overlap; the pipelined
-    :class:`~repro.serve.AsyncRemoteBackend` streams the same requests as
-    id-tagged frames with ``window`` in flight over the same single
-    socket to the same single server.
-
-    **Read replicas** (two members, ``replication=2``): under the
-    ``primary`` policy replicas are failover-only dead weight — the ring
-    hands every request to its first replica, and consistent hashing
-    splits traffic unevenly; ``round_robin`` serves reads from every
-    replica, so the 2-member ring balances, but it alternates *the same
-    state* across replicas and pays every cold miss once per replica;
-    ``hash`` also serves reads from every replica while pinning each
-    request hash to one owner, so the ring balances *and* each state is
-    computed exactly once.  All rings run pipelined member clients;
-    ``cluster_reference`` embeds the committed failover-only 2-member
-    record from ``BENCH_cluster_qps.json`` for trajectory reading.
-
-    Read the ring numbers with the host's core count in mind: on one
-    core, balancing buys no CPU parallelism, so round_robin's duplicated
-    cold misses cost it real wall-clock against ``primary`` — and
-    ``hash`` recovers that gap (balanced split at primary-like QPS),
-    which is the cache-affinity claim this benchmark pins down.
-    """
-
-    dataset: str
-    algorithm: str
-    k: int
-    l: int
-    n_states: int
-    rounds: int
-    window: int
-    cache_size: int
-    fit_seconds: float
-    sync_client: dict = field(default_factory=dict)
-    pipelined_client: dict = field(default_factory=dict)
-    replica_primary: dict = field(default_factory=dict)
-    replica_round_robin: dict = field(default_factory=dict)
-    replica_hash: dict = field(default_factory=dict)
-    cluster_reference: Optional[dict] = None
-
-    @property
-    def pipeline_speedup(self) -> float:
-        base = self.sync_client.get("qps", 0.0)
-        return self.pipelined_client.get("qps", 0.0) / base if base else 0.0
-
-    @property
-    def replica_read_gain(self) -> float:
-        base = self.replica_primary.get("qps", 0.0)
-        return (self.replica_round_robin.get("qps", 0.0) / base
-                if base else 0.0)
-
-    @property
-    def affinity_gain(self) -> float:
-        """Hash routing's QPS over round_robin's — the duplicate-cold-miss
-        penalty that cache-affinity routing recovers."""
-        base = self.replica_round_robin.get("qps", 0.0)
-        return self.replica_hash.get("qps", 0.0) / base if base else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": "async_qps",
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "l": self.l,
-            "n_states": self.n_states,
-            "rounds": self.rounds,
-            "window": self.window,
-            "cache_size": self.cache_size,
-            "transport": "asyncio",
-            "fit_seconds": self.fit_seconds,
-            "sync_client": dict(self.sync_client),
-            "pipelined_client": dict(self.pipelined_client),
-            "replica_primary": dict(self.replica_primary),
-            "replica_round_robin": dict(self.replica_round_robin),
-            "replica_hash": dict(self.replica_hash),
-            "pipeline_speedup": self.pipeline_speedup,
-            "replica_read_gain": self.replica_read_gain,
-            "affinity_gain": self.affinity_gain,
-            "cluster_reference": self.cluster_reference,
-        }
-
-    def render(self) -> str:
-        rows = [
-            ["sync client (1 member)", self.sync_client["served"],
-             self.sync_client["seconds"], self.sync_client["qps"]],
-            [f"pipelined client (1 member, window={self.window})",
-             self.pipelined_client["served"],
-             self.pipelined_client["seconds"], self.pipelined_client["qps"]],
-            ["2-member ring, policy=primary", self.replica_primary["served"],
-             self.replica_primary["seconds"], self.replica_primary["qps"]],
-            ["2-member ring, policy=round_robin",
-             self.replica_round_robin["served"],
-             self.replica_round_robin["seconds"],
-             self.replica_round_robin["qps"]],
-            ["2-member ring, policy=hash", self.replica_hash["served"],
-             self.replica_hash["seconds"], self.replica_hash["qps"]],
-        ]
-        table = format_table(
-            f"Async transport QPS ({self.algorithm} on {self.dataset}, "
-            f"{self.n_states} states x {self.rounds} rounds, "
-            f"cache={self.cache_size}/member)",
-            ["serving path", "# selects", "total s", "QPS"],
-            rows,
-        )
-        reference = ""
-        if self.cluster_reference:
-            reference = (
-                f"\nfailover-only 2-member reference "
-                f"(BENCH_cluster_qps.json): "
-                f"{self.cluster_reference['qps']:.1f} QPS"
-            )
-        return (
-            f"{table}\n"
-            f"pipelining speedup: {self.pipeline_speedup:.2f}x   "
-            f"read-replica gain over primary: {self.replica_read_gain:.2f}x   "
-            f"cache-affinity gain over round_robin: "
-            f"{self.affinity_gain:.2f}x{reference}"
-        )
-
-
-def _drive_ring(artifact, workload, *, members, replication, replica_policy,
-                cache_size, window) -> dict:
-    """Serve ``workload`` through a fresh ring of async subprocess members
-    with pipelined clients; one serving record (the cluster bench shape)."""
-    from repro.serve import AsyncRemoteBackend, ClusterRouter, \
-        spawn_artifact_server
-
-    servers = [
-        spawn_artifact_server(artifact, cache_size=cache_size,
-                              transport="asyncio")
-        for _ in range(members)
-    ]
-    try:
-        router = ClusterRouter(
-            [(f"m{i}", AsyncRemoteBackend(server.address, window=window))
-             for i, server in enumerate(servers)],
-            replication=replication,
-            replica_policy=replica_policy,
-        )
-        start = time.perf_counter()
-        router.select_many(workload)
-        seconds = time.perf_counter() - start
-        stats = router.stats()
-        router.close()
-    finally:
-        for server in servers:
-            server.close()
-    return {
-        "served": stats["served"],
-        "errors": stats["errors"],
-        "seconds": seconds,
-        "qps": stats["served"] / seconds if seconds else 0.0,
-        "failovers": stats["failovers"],
-        "replica_policy": replica_policy,
-        "per_member": {
-            member["name"]: member["served"] for member in stats["members"]
-        },
-    }
-
-
-def run_async_qps_experiment(
-    dataset_name: str = "cyber",
-    n_sessions: int = 12,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    window: int = 32,
-    rounds: int = 6,
-    max_states: int = 48,
-    shard_slack: float = 2.0,
-    cluster_reference_path: Optional[str] = None,
-    artifact_dir: Optional[str] = None,
-    algorithm: str = "subtab",
-) -> AsyncQPSResult:
-    """Measure pipelined-vs-sync client QPS and read-replica scaling.
-
-    Fits one engine, saves the artifact, and serves the cyclic session
-    workload of the pool/cluster benchmarks four ways: per-request round
-    trips through a sync :class:`~repro.serve.RemoteBackend` and a
-    many-in-flight :class:`~repro.serve.AsyncRemoteBackend` against the
-    *same* single asyncio member (both after one batch warm-up pass, so
-    the comparison isolates the transport, not the LRU), then a 2-member
-    ``replication=2`` ring under the ``primary`` (failover-only),
-    ``round_robin`` (read-from-replica), and ``hash`` (cache-affinity)
-    policies, cold, like the cluster bench.  Per-member LRU capacity is
-    ``ceil(shard_slack * n_states / 2)`` everywhere — large enough that a
-    replica can absorb the reads the policy hands it, so the ring
-    comparison isolates routing, not cache pressure.
-    """
-    import json as json_module
-    import math
-    import shutil
-    import tempfile
-    from pathlib import Path as PathType
-
-    from repro.api import Engine, SelectionRequest
-    from repro.serve import AsyncRemoteBackend, spawn_artifact_server
-
-    bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-    config = SubTabConfig(k=k, l=l, seed=seed)
-    engine = Engine(algorithm, config=config)
-    fit_start = time.perf_counter()
-    engine.fit(bundle.frame, binned=bundle.binned)
-    fit_seconds = time.perf_counter() - fit_start
-    artifact = artifact_dir or tempfile.mkdtemp(prefix="repro-async-qps-")
-    try:
-        engine.save(artifact)
-        states = _servable_session_states(
-            engine, bundle, n_sessions=n_sessions, dataset_name=dataset_name,
-            k=k, l=l, seed=seed, max_states=max_states,
-        )
-        n_states = len(states)
-        cache_size = max(1, math.ceil(shard_slack * n_states / 2))
-        requests = [SelectionRequest(k=k, l=l, query=state)
-                    for state in states]
-        workload = requests * rounds  # cyclic, as in the sibling benches
-
-        result = AsyncQPSResult(
-            dataset=bundle.name,
-            algorithm=engine.algorithm,
-            k=k,
-            l=l,
-            n_states=n_states,
-            rounds=rounds,
-            window=window,
-            cache_size=cache_size,
-            fit_seconds=fit_seconds,
-        )
-
-        # -- pipelining, one member: sync round trips vs windowed frames
-        with spawn_artifact_server(artifact, cache_size=cache_size,
-                                   transport="asyncio") as server:
-            sync = server.connect()
-            sync.select_many(requests)  # one batch warm-up: LRU filled
-            start = time.perf_counter()
-            for request in workload:
-                sync.select(request)
-            seconds = time.perf_counter() - start
-            result.sync_client = {
-                "served": len(workload),
-                "seconds": seconds,
-                "qps": len(workload) / seconds if seconds else 0.0,
-            }
-            sync.close()
-
-            pipelined = AsyncRemoteBackend(server.address, window=window)
-            start = time.perf_counter()
-            pipelined.select_many(workload)
-            seconds = time.perf_counter() - start
-            result.pipelined_client = {
-                "served": len(workload),
-                "seconds": seconds,
-                "qps": len(workload) / seconds if seconds else 0.0,
-                "window": window,
-            }
-            pipelined.close()
-
-        # -- read replicas, two members: failover-only vs round-robin
-        result.replica_primary = _drive_ring(
-            artifact, workload, members=2, replication=2,
-            replica_policy="primary", cache_size=cache_size, window=window,
-        )
-        result.replica_round_robin = _drive_ring(
-            artifact, workload, members=2, replication=2,
-            replica_policy="round_robin", cache_size=cache_size,
-            window=window,
-        )
-        result.replica_hash = _drive_ring(
-            artifact, workload, members=2, replication=2,
-            replica_policy="hash", cache_size=cache_size, window=window,
-        )
-
-        if cluster_reference_path:
-            reference_file = PathType(cluster_reference_path)
-            if reference_file.is_file():
-                record = json_module.loads(reference_file.read_text())
-                two = record.get("members", {}).get("2")
-                if two:
-                    result.cluster_reference = {
-                        "qps": two["qps"],
-                        "served": two["served"],
-                        "transport": record.get("transport", "socket"),
-                        "replica_policy": "failover-only",
-                    }
-        return result
-    finally:
-        if artifact_dir is None:  # only clean up the directory we created
-            shutil.rmtree(artifact, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# HTTP gateway QPS — the front door vs the raw socket transport
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HttpQPSResult:
-    """One open-loop workload through two front ends of the same server.
-
-    The same seeded schedule (fingerprint-checked, so both legs replay
-    byte-identical workloads) is driven against one store-backed asyncio
-    server twice: once through a raw pipelined
-    :class:`~repro.serve.AsyncRemoteBackend` (the fastest path the stack
-    offers) and once through the HTTP gateway — ``n_tenants`` API-keyed
-    tenants round-robinning their sessions over per-thread keep-alive
-    connections, exactly how external tooling would arrive.  The spread
-    between the two legs is the measured price of the HTTP front door
-    (parsing, auth, admission, an executor hop) at serving load.
-    """
-
-    dataset: str
-    seed: int
-    k: int
-    l: int
-    n_sessions: int
-    arrival_rate: float
-    n_tenants: int
-    window: int
-    cache_size: int
-    max_inflight: int
-    fit_seconds: float = 0.0
-    raw_socket: dict = field(default_factory=dict)
-    gateway: dict = field(default_factory=dict)
-    tenant_served: dict = field(default_factory=dict)
-    gateway_status: dict = field(default_factory=dict)
-    schedule_fingerprint: str = ""
-
-    @property
-    def gateway_fraction(self) -> float:
-        """Gateway QPS over raw-socket QPS (1.0: the front door is free)."""
-        raw = self.raw_socket.get("achieved_qps", 0.0)
-        if raw <= 0:
-            return 0.0
-        return self.gateway.get("achieved_qps", 0.0) / raw
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": "http_qps",
-            "dataset": self.dataset,
-            "seed": self.seed,
-            "k": self.k,
-            "l": self.l,
-            "n_sessions": self.n_sessions,
-            "arrival_rate": self.arrival_rate,
-            "n_tenants": self.n_tenants,
-            "window": self.window,
-            "cache_size": self.cache_size,
-            "max_inflight": self.max_inflight,
-            "fit_seconds": self.fit_seconds,
-            "raw_socket": dict(self.raw_socket),
-            "gateway": dict(self.gateway),
-            "gateway_fraction": self.gateway_fraction,
-            "tenant_served": dict(self.tenant_served),
-            "gateway_status": dict(self.gateway_status),
-            "schedule_fingerprint": self.schedule_fingerprint,
-        }
-
-    def render(self) -> str:
-        rows = []
-        for label, record in (("raw socket", self.raw_socket),
-                              ("http gateway", self.gateway)):
-            latency = record.get("latency", {})
-            rows.append([
-                label,
-                record.get("achieved_qps", 0.0),
-                record.get("saturation_ratio", 0.0),
-                latency.get("p50", 0.0),
-                latency.get("p99", 0.0),
-                record.get("errors", 0),
-            ])
-        table = format_table(
-            f"HTTP gateway vs raw socket ({self.dataset}, "
-            f"{self.n_sessions} sessions at {self.arrival_rate:g}/s, "
-            f"{self.n_tenants} tenants)",
-            ["front end", "achieved QPS", "ratio", "p50 s", "p99 s",
-             "errors"],
-            rows,
-        )
-        tenants = "   ".join(
-            f"{name}={count}" for name, count in
-            sorted(self.tenant_served.items())
-        )
-        return (
-            f"{table}\n"
-            f"gateway/raw throughput: {self.gateway_fraction:.2f}x   "
-            f"per-tenant requests: {tenants}\n"
-            f"schedule fingerprint: {self.schedule_fingerprint}"
-        )
-
-
-def run_http_qps_experiment(
-    dataset_name: str = "cyber",
-    arrival_rate: float = 8.0,
-    n_sessions: int = 24,
-    sessions_per_dataset: int = 8,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    mean_think_seconds: float = 0.02,
-    window: int = 64,
-    cache_size: int = 256,
-    max_sessions: int = 64,
-    n_tenants: int = 3,
-    max_inflight: int = 512,
-) -> HttpQPSResult:
-    """Measure the HTTP front door against the raw socket transport.
-
-    One store-backed asyncio server subprocess hosts the fitted engine;
-    the same seeded open-loop schedule is replayed through (a) a
-    pipelined socket client and (b) the HTTP gateway fronting an
-    identical socket client, with ``n_tenants`` authenticated tenants
-    sharing the load round-robin.  Both schedules are rebuilt from seed
-    and fingerprint-compared, so the committed record doubles as a
-    reproducibility proof.
-    """
-    import itertools
-    import shutil
-    import tempfile
-    import threading
-
-    from repro.api import ArtifactStore, Engine
-    from repro.gateway import HttpBackend, HttpGateway, TenantRegistry, \
-        TenantSpec
-    from repro.loadgen import build_schedule, run_open_loop, sample_sessions
-    from repro.serve import AsyncRemoteBackend, spawn_store_server
-
-    result = HttpQPSResult(
-        dataset=dataset_name,
-        seed=seed,
-        k=k,
-        l=l,
-        n_sessions=n_sessions,
-        arrival_rate=arrival_rate,
-        n_tenants=n_tenants,
-        window=window,
-        cache_size=cache_size,
-        max_inflight=max_inflight,
-    )
-    root = tempfile.mkdtemp(prefix="repro-http-qps-")
-    try:
-        store = ArtifactStore(root)
-        bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-        engine = Engine("subtab", config=SubTabConfig(k=k, l=l, seed=seed))
-        fit_start = time.perf_counter()
-        engine.fit(bundle.frame, binned=bundle.binned)
-        result.fit_seconds = time.perf_counter() - fit_start
-        store.save(dataset_name, engine)
-        sessions = {dataset_name: sample_sessions(
-            bundle.binned,
-            dataset=dataset_name,
-            n_sessions=sessions_per_dataset,
-            seed=seed,
-            k=k,
-            l=l,
-            pattern_columns=bundle.dataset.pattern_columns,
-        )}
-
-        def schedule():
-            return build_schedule(
-                sessions,
-                seed=seed,
-                arrival_rate=arrival_rate,
-                n_sessions=n_sessions,
-                mean_think_seconds=mean_think_seconds,
-            )
-
-        first = schedule()
-        if first.fingerprint() != schedule().fingerprint():
-            raise RuntimeError(
-                f"schedule is not reproducible from seed {seed}"
-            )
-        result.schedule_fingerprint = first.fingerprint()
-
-        with spawn_store_server(
-            root, capacity=4, cache_size=cache_size, transport="asyncio",
-        ) as server:
-            # Leg 1: the raw pipelined socket client.
-            raw = AsyncRemoteBackend(server.address, window=window)
-            try:
-                result.raw_socket = run_open_loop(
-                    raw, first, max_sessions=max_sessions
-                ).to_json()
-            finally:
-                raw.close()
-
-            # Leg 2: the HTTP gateway fronting an identical client,
-            # driven by n_tenants authenticated tenants round-robin.
-            registry = TenantRegistry(
-                [TenantSpec(name=f"tenant{i}", key=f"tenant{i}-key")
-                 for i in range(n_tenants)],
-                max_inflight=max_inflight,
-            )
-            remote = AsyncRemoteBackend(server.address, window=window)
-            gateway = HttpGateway(
-                remote, tenants=registry, own_backend=True,
-                dispatch_threads=16,
-            ).start()
-            clients = [
-                HttpBackend(gateway.address, api_key=f"tenant{i}-key")
-                for i in range(n_tenants)
-            ]
-
-            class _TenantFanout:
-                """Round-robins selects over the tenants' HTTP clients
-                (the loadgen harness drives one backend object)."""
-
-                def __init__(self) -> None:
-                    self._turn = itertools.count()
-                    self._lock = threading.Lock()
-
-                def select(self, request):
-                    with self._lock:
-                        turn = next(self._turn)
-                    return clients[turn % len(clients)].select(request)
-
-            try:
-                result.gateway = run_open_loop(
-                    _TenantFanout(), schedule(), max_sessions=max_sessions
-                ).to_json()
-                snapshot = gateway.app.metrics.snapshot()
-                result.tenant_served = {
-                    name.split(".")[2]: record["value"]
-                    for name, record in snapshot.items()
-                    if name.startswith("gateway.tenant.")
-                    and name.endswith(".requests")
-                }
-                result.gateway_status = {
-                    name.split(".")[2]: record["value"]
-                    for name, record in snapshot.items()
-                    if name.startswith("gateway.status.")
-                }
-            finally:
-                for client in clients:
-                    client.close()
-                gateway.close()
-        return result
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# HTTP response cache — fingerprint-keyed replay speedup
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HttpCacheResult:
-    """One replayed-session workload through the gateway, cache off vs on.
-
-    The open-loop HTTP bench (:class:`HttpQPSResult`) is arrival-limited:
-    it measures whether the front door keeps up with a fixed offered
-    rate, so a response cache cannot show up in its headline.  This one
-    is **closed-loop**: the same session-derived request list is replayed
-    back-to-back for ``passes`` rounds through three front ends of one
-    store-backed asyncio server — a raw pipelined socket client (the
-    stack's floor), the HTTP gateway with its response cache disabled,
-    and a fresh gateway with the cache on.  With the cache on, pass 1
-    populates and passes 2+ are served from entry bytes without touching
-    the backend; the cache-on/cache-off QPS ratio is the headline.
-
-    The backend's own selection cache is disabled for every leg so each
-    front end pays full selection cost on repeats — the experiment
-    measures the response cache as *the* caching layer, not its margin
-    over a second one.
-
-    ``bit_identical`` is proven inside the run: the first request is
-    POSTed cold and again after caching over a raw socket, and the two
-    response bodies must be byte-equal (``X-Cache: miss`` then ``hit``);
-    a third conditional request with ``If-None-Match`` must come back
-    ``304`` with an empty body (``revalidated_304``).
-    """
-
-    dataset: str
-    seed: int
-    k: int
-    l: int
-    n_requests: int
-    passes: int
-    cache_size: int
-    window: int
-    fit_seconds: float = 0.0
-    raw_socket: dict = field(default_factory=dict)
-    cache_off: dict = field(default_factory=dict)
-    cache_on: dict = field(default_factory=dict)
-    cache_counters: dict = field(default_factory=dict)
-    bit_identical: bool = False
-    revalidated_304: bool = False
-
-    @property
-    def speedup(self) -> float:
-        """Cache-on QPS over cache-off QPS (the headline ratio)."""
-        off = self.cache_off.get("achieved_qps", 0.0)
-        if off <= 0:
-            return 0.0
-        return self.cache_on.get("achieved_qps", 0.0) / off
-
-    @property
-    def raw_fraction(self) -> float:
-        """Cache-on QPS over raw-socket QPS (>1: cached HTTP beats raw)."""
-        raw = self.raw_socket.get("achieved_qps", 0.0)
-        if raw <= 0:
-            return 0.0
-        return self.cache_on.get("achieved_qps", 0.0) / raw
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": "http_cache",
-            "dataset": self.dataset,
-            "seed": self.seed,
-            "k": self.k,
-            "l": self.l,
-            "n_requests": self.n_requests,
-            "passes": self.passes,
-            "cache_size": self.cache_size,
-            "window": self.window,
-            "fit_seconds": self.fit_seconds,
-            "raw_socket": dict(self.raw_socket),
-            "cache_off": dict(self.cache_off),
-            "cache_on": dict(self.cache_on),
-            "cache_counters": dict(self.cache_counters),
-            "speedup": self.speedup,
-            "raw_fraction": self.raw_fraction,
-            "bit_identical": self.bit_identical,
-            "revalidated_304": self.revalidated_304,
-        }
-
-    def render(self) -> str:
-        rows = []
-        for label, record in (("raw socket", self.raw_socket),
-                              ("gateway, cache off", self.cache_off),
-                              ("gateway, cache on", self.cache_on)):
-            latency = record.get("latency", {})
-            rows.append([
-                label,
-                record.get("achieved_qps", 0.0),
-                latency.get("p50", 0.0),
-                latency.get("p99", 0.0),
-                record.get("errors", 0),
-            ])
-        table = format_table(
-            f"HTTP response cache ({self.dataset}, "
-            f"{self.n_requests} requests x {self.passes} passes)",
-            ["front end", "achieved QPS", "p50 s", "p99 s", "errors"],
-            rows,
-        )
-        counters = "   ".join(
-            f"{name}={value}" for name, value in
-            sorted(self.cache_counters.items())
-        )
-        return (
-            f"{table}\n"
-            f"cache-on/cache-off throughput: {self.speedup:.2f}x   "
-            f"cache-on/raw: {self.raw_fraction:.2f}x\n"
-            f"bit-identical: {self.bit_identical}   "
-            f"304 revalidation: {self.revalidated_304}\n"
-            f"cache counters: {counters}"
-        )
-
-
-def _replay_closed_loop(select, requests: Sequence, passes: int) -> dict:
-    """Drive ``select`` over ``requests`` for ``passes`` rounds, one at
-    a time (closed loop: each request waits for the previous reply)."""
-    latencies = []
-    errors = 0
-    start = time.perf_counter()
-    for _ in range(passes):
-        for request in requests:
-            step_start = time.perf_counter()
-            try:
-                select(request)
-            except Exception:
-                errors += 1
-            latencies.append(time.perf_counter() - step_start)
-    elapsed = time.perf_counter() - start
-    served = len(latencies)
-    spread = np.asarray(latencies, dtype=np.float64)
-    return {
-        "requests": served,
-        "errors": errors,
-        "elapsed_seconds": elapsed,
-        "achieved_qps": served / elapsed if elapsed > 0 else 0.0,
-        "latency": {
-            "count": served,
-            "mean": float(spread.mean()) if served else 0.0,
-            "p50": float(np.percentile(spread, 50)) if served else 0.0,
-            "p95": float(np.percentile(spread, 95)) if served else 0.0,
-            "p99": float(np.percentile(spread, 99)) if served else 0.0,
-            "max": float(spread.max()) if served else 0.0,
-        },
-    }
-
-
-def _probe_cache_identity(address, api_key: str, wire: dict) -> tuple:
-    """POST one request cold, cached, then conditional, over a raw
-    socket; returns ``(bit_identical, revalidated_304)``."""
-    import http.client
-    import json as _json
-
-    from repro.gateway.cache import make_etag
-
-    host, port = address
-    body = _json.dumps(wire).encode("utf-8")
-    connection = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        def post(extra_headers=()):
-            headers = {
-                "Content-Type": "application/json",
-                "X-API-Key": api_key,
-            }
-            headers.update(extra_headers)
-            connection.request("POST", "/v1/select", body=body,
-                               headers=headers)
-            reply = connection.getresponse()
-            return reply.status, dict(
-                (key.lower(), value) for key, value in reply.getheaders()
-            ), reply.read()
-
-        cold_status, cold_headers, cold_body = post()
-        hit_status, hit_headers, hit_body = post()
-        etag = cold_headers.get("etag", "")
-        bit_identical = (
-            cold_status == 200
-            and hit_status == 200
-            and cold_body == hit_body
-            and cold_headers.get("x-cache") == "miss"
-            and hit_headers.get("x-cache") == "hit"
-            and etag == make_etag(cold_body)
-        )
-        cond_status, cond_headers, cond_body = post(
-            {"If-None-Match": etag}
-        )
-        revalidated = (
-            cond_status == 304
-            and cond_body == b""
-            and cond_headers.get("etag") == etag
-        )
-        return bit_identical, revalidated
-    finally:
-        connection.close()
-
-
-def run_http_cache_experiment(
-    dataset_name: str = "cyber",
-    n_requests: int = 16,
-    passes: int = 5,
-    sessions_per_dataset: int = 8,
-    k: int = 10,
-    l: int = 7,  # noqa: E741 — the paper's symbol
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    window: int = 64,
-    cache_size: int = 256,
-    cache_refresh_seconds: float = 2.0,
-) -> HttpCacheResult:
-    """Measure the gateway response cache on a replayed-session workload.
-
-    One store-backed asyncio server subprocess (its own selection cache
-    disabled) hosts the fitted engine; a deduplicated list of
-    session-derived requests — prefiltered to ones the engine serves —
-    is replayed ``passes`` times through (a) a raw pipelined socket
-    client, (b) the gateway with ``cache_size=0``, and (c) a fresh
-    gateway with the response cache on.  Byte-identity of cached replies
-    and the 304 revalidation round-trip are asserted inside the run, so
-    the committed record doubles as a correctness proof.
-    """
-    import shutil
-    import tempfile
-
-    from repro.api import ArtifactStore, Engine
-    from repro.gateway import HttpBackend, HttpGateway, TenantRegistry, \
-        TenantSpec
-    from repro.loadgen import sample_sessions
-    from repro.serve import AsyncRemoteBackend, RemoteBackend, \
-        spawn_store_server
-
-    result = HttpCacheResult(
-        dataset=dataset_name,
-        seed=seed,
-        k=k,
-        l=l,
-        n_requests=n_requests,
-        passes=passes,
-        cache_size=cache_size,
-        window=window,
-    )
-    root = tempfile.mkdtemp(prefix="repro-http-cache-")
-    try:
-        store = ArtifactStore(root)
-        bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-        engine = Engine("subtab", config=SubTabConfig(k=k, l=l, seed=seed))
-        fit_start = time.perf_counter()
-        engine.fit(bundle.frame, binned=bundle.binned)
-        result.fit_seconds = time.perf_counter() - fit_start
-        store.save(dataset_name, engine)
-
-        # Deduplicated session steps the engine actually serves — every
-        # leg replays the identical list, so errors stay at zero and the
-        # legs differ only in their front end.
-        requests, seen = [], set()
-        for session in sample_sessions(
-            bundle.binned,
-            dataset=dataset_name,
-            n_sessions=sessions_per_dataset,
-            seed=seed,
-            k=k,
-            l=l,
-            pattern_columns=bundle.dataset.pattern_columns,
-        ):
-            for request in session:
-                wire_text = request.to_json()
-                if wire_text in seen:
-                    continue
-                seen.add(wire_text)
-                try:
-                    engine.select(request)
-                except Exception:
-                    continue
-                requests.append(request)
-                if len(requests) >= n_requests:
-                    break
-            if len(requests) >= n_requests:
-                break
-        if len(requests) < 2:
-            raise RuntimeError(
-                f"only {len(requests)} servable requests sampled from "
-                f"{dataset_name!r}; need at least 2"
-            )
-        result.n_requests = len(requests)
-
-        # cache_size=1 is the smallest legal selection LRU; the replay
-        # cycles >1 distinct requests, so the backend never serves a
-        # repeat from it — every leg pays full selection cost on
-        # repeats and only the gateway's response cache can help.
-        with spawn_store_server(
-            root, capacity=4, cache_size=1, transport="asyncio",
-        ) as server:
-            # Leg 1: the raw pipelined socket client (the floor).
-            raw = RemoteBackend(server.address)
-            try:
-                result.raw_socket = _replay_closed_loop(
-                    raw.select, requests, passes
-                )
-            finally:
-                raw.close()
-
-            registry = TenantRegistry(
-                [TenantSpec(name="bench", key="bench-key")]
-            )
-
-            def start_gateway(gateway_cache_size: int):
-                remote = AsyncRemoteBackend(server.address, window=window)
-                return HttpGateway(
-                    remote, tenants=registry, own_backend=True,
-                    cache_size=gateway_cache_size,
-                    cache_refresh_seconds=cache_refresh_seconds,
-                ).start()
-
-            def replay_through(gateway) -> dict:
-                client = HttpBackend(
-                    gateway.address, api_key="bench-key",
-                    etag_cache_size=0,
-                )
-                try:
-                    return _replay_closed_loop(
-                        client.select, requests, passes
-                    )
-                finally:
-                    client.close()
-
-            # Leg 2: the gateway with its response cache disabled.
-            gateway = start_gateway(0)
-            try:
-                result.cache_off = replay_through(gateway)
-            finally:
-                gateway.close()
-
-            # Leg 3: a fresh gateway with the cache on.  The identity
-            # probe runs first — cold POST, cached POST, conditional
-            # 304 — then the cache is cleared so the timed replay still
-            # starts cold (pass 1 misses and stores; passes 2+ serve
-            # entry bytes).
-            gateway = start_gateway(cache_size)
-            try:
-                result.bit_identical, result.revalidated_304 = (
-                    _probe_cache_identity(
-                        gateway.address, "bench-key",
-                        requests[0].to_wire(),
-                    )
-                )
-                gateway.app.cache.clear()
-                result.cache_on = replay_through(gateway)
-                snapshot = gateway.app.metrics.snapshot()
-                result.cache_counters = {
-                    name.split(".", 1)[1]: record["value"]
-                    for name, record in snapshot.items()
-                    if name.startswith("cache.")
-                }
-            finally:
-                gateway.close()
-        return result
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# Kernel QPS — vectorized selection hot path + greedy-approx tradeoff
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KernelQPSResult:
-    """Cold-select throughput of the vectorized kernels plus the
-    quality-vs-latency tradeoff of the sampling-based Greedy.
-
-    ``cold`` measures uncached single-engine selects (``use_cache=False``)
-    over the same session-state workload shape as the pool bench's
-    committed baseline — the number every other serving-layer multiplier
-    (LRU, pooling, clustering) stacks on top of.  ``profile`` holds
-    per-stage cumulative seconds of the same selects under the fast and
-    reference kernel backends ("after" vs "before" of the vectorization).
-    ``tradeoff`` holds, per registry dataset, cell coverage and select
-    latency of exact Greedy, SubTab, and greedy-approx across sample
-    rates — the curve behind the (1 - 1/e - eps) quality-for-latency
-    dial.
-    """
-
-    dataset: str
-    k: int
-    l: int
-    n_states: int
-    passes: int
-    fit_seconds: float
-    committed_baseline_qps: float
-    cold: dict = field(default_factory=dict)
-    profile: dict = field(default_factory=dict)
-    tradeoff: list = field(default_factory=list)
-
-    @property
-    def speedup_vs_committed(self) -> float:
-        if not self.committed_baseline_qps:
-            return 0.0
-        return self.cold.get("qps", 0.0) / self.committed_baseline_qps
-
-    def best_tradeoff_point(self) -> "dict | None":
-        """The sampled point with the largest speedup among those within
-        5% coverage loss of exact greedy, across all datasets."""
-        best = None
-        for record in self.tradeoff:
-            for point in record["approx"]:
-                if point["coverage_loss"] > 0.05:
-                    continue
-                if best is None or point["speedup"] > best["speedup"]:
-                    best = dict(point, dataset=record["dataset"])
-        return best
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": "kernel_qps",
-            "dataset": self.dataset,
-            "k": self.k,
-            "l": self.l,
-            "n_states": self.n_states,
-            "passes": self.passes,
-            "fit_seconds": self.fit_seconds,
-            "committed_baseline_qps": self.committed_baseline_qps,
-            "speedup_vs_committed": self.speedup_vs_committed,
-            "cold": dict(self.cold),
-            "profile": dict(self.profile),
-            "tradeoff": list(self.tradeoff),
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"cold single-engine selects ({self.dataset}, k={self.k}, "
-            f"l={self.l}, {self.n_states} states, best of {self.passes} "
-            f"passes): {self.cold.get('qps', 0.0):.1f} QPS "
-            f"({self.speedup_vs_committed:.2f}x the committed "
-            f"{self.committed_baseline_qps:.1f} QPS baseline)",
-        ]
-        fast = self.profile.get("fast", {})
-        reference = self.profile.get("reference", {})
-        if fast and reference:
-            rows = [
-                [stage, reference.get(stage, 0.0), fast.get(stage, 0.0)]
-                for stage in fast
-            ]
-            lines.append(format_table(
-                f"per-stage seconds, {self.profile.get('profile_states', 0)}"
-                f" profiled selects (reference -> fast backend)",
-                ["stage", "reference s", "fast s"],
-                rows,
-            ))
-        for record in self.tradeoff:
-            rows = [["greedy (exact)", 1.0,
-                     record["exact"]["seconds"], record["exact"]["coverage"]]]
-            for point in record["approx"]:
-                rows.append([
-                    f"greedy-approx @{point['sample_rate']}",
-                    point["speedup"], point["seconds"], point["coverage"],
-                ])
-            rows.append(["subtab",
-                         record["exact"]["seconds"]
-                         / max(record["subtab"]["seconds"], 1e-9),
-                         record["subtab"]["seconds"],
-                         record["subtab"]["coverage"]])
-            lines.append(format_table(
-                f"{record['dataset']}: coverage vs select latency "
-                f"(k={self.k}, l={record['l']}, "
-                f"{record['max_combinations']} column subsets)",
-                ["selector", "speedup", "select s", "cell coverage"],
-                rows,
-            ))
-        return "\n".join(lines)
-
-
-_PROFILE_STAGES = {
-    "select_total": ("api/engine.py", "select"),
-    "kmeans_fit": ("cluster/kmeans.py", "fit"),
-    "seeding": ("cluster/kmeans.py", "_kmeans_plus_plus"),
-    "lloyd": ("cluster/kmeans.py", "_lloyd_lockstep"),
-    "centroid_sums": ("core/kernels.py", "label_matrix_sums"),
-    "row_collapse": ("core/kernels.py", "collapse_rows"),
-    "column_stage": ("core/selection.py", "_dispersion_column_pick"),
-}
-
-
-def _stage_seconds(engine, requests) -> dict:
-    """Cumulative per-stage seconds of serving ``requests`` once."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for request in requests:
-        engine.select(request)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    out = {}
-    for label, (path_suffix, function) in _PROFILE_STAGES.items():
-        seconds = 0.0
-        for (filename, _, name), row in stats.stats.items():
-            if name == function and filename.replace("\\", "/").endswith(
-                path_suffix
-            ):
-                seconds += row[3]  # cumulative time
-        out[label] = round(seconds, 6)
-    return out
-
-
-def _tradeoff_for_dataset(
-    dataset_name: str, *, n_rows, k, l, seed, max_combinations,
-    sample_rates, repeats,
-) -> dict:
-    """Coverage/latency of exact greedy vs greedy-approx vs SubTab on one
-    dataset, all scored by one shared evaluator over one shared rule set."""
-    from repro.api.registry import make_selector as make_registry_selector
-
-    bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-    rules = RuleMiner().mine(bundle.binned)
-    evaluator = CoverageEvaluator(bundle.binned, rules)
-    config = SubTabConfig(k=k, l=l, seed=seed)
-
-    def timed_select(selector) -> tuple:
-        best = float("inf")
-        subtable = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            subtable = selector.select(k, l)
-            best = min(best, time.perf_counter() - start)
-        coverage = evaluator.coverage(subtable.row_indices, subtable.columns)
-        return best, coverage
-
-    exact = make_registry_selector(
-        "greedy", config, rules=rules, max_combinations=max_combinations
-    )
-    exact.prepare(bundle.frame, binned=bundle.binned)
-    exact_seconds, exact_coverage = timed_select(exact)
-
-    approx_points = []
-    for rate in sample_rates:
-        approx = make_registry_selector(
-            "greedy-approx", config, rules=rules,
-            max_combinations=max_combinations, sample_rate=rate,
-        )
-        approx.prepare(bundle.frame, binned=bundle.binned)
-        seconds, coverage = timed_select(approx)
-        loss = (
-            (exact_coverage - coverage) / exact_coverage
-            if exact_coverage > 0 else 0.0
-        )
-        approx_points.append({
-            "sample_rate": rate,
-            "seconds": seconds,
-            "coverage": coverage,
-            "speedup": exact_seconds / seconds if seconds else 0.0,
-            "coverage_loss": loss,
-        })
-
-    subtab = make_registry_selector("subtab", config)
-    subtab.prepare(bundle.frame, binned=bundle.binned)
-    subtab_seconds, subtab_coverage = timed_select(subtab)
-
-    return {
-        "dataset": dataset_name,
-        "n_rows": bundle.binned.n_rows,
-        "l": l,
-        "max_combinations": max_combinations,
-        "n_rules": len(rules),
-        "upcov": evaluator.upcov,
-        "exact": {"seconds": exact_seconds, "coverage": exact_coverage},
-        "subtab": {"seconds": subtab_seconds, "coverage": subtab_coverage},
-        "approx": approx_points,
-    }
-
-
-def run_kernel_qps_experiment(
-    dataset_name: str = "cyber",
-    n_sessions: int = 12,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = 1500,
-    max_states: int = 48,
-    passes: int = 5,
-    profile_states: int = 4,
-    committed_baseline_qps: float = 0.0,
-    tradeoff_datasets: Optional[Sequence[str]] = None,
-    tradeoff_rows: int = 1200,
-    tradeoff_l: int = 5,
-    tradeoff_max_combinations: int = 20,
-    sample_rates: Sequence[float] = (0.02, 0.05, 0.1, 0.25, 0.5),
-    tradeoff_repeats: int = 2,
-) -> KernelQPSResult:
-    """Measure cold single-engine QPS and the greedy-approx tradeoff.
-
-    The cold workload reuses the pool bench's session-state generation
-    (same dataset, k, l, seed, state cap) so the recorded QPS is directly
-    comparable to the committed ``BENCH_pool_qps.json`` baseline figure,
-    which callers pass in as ``committed_baseline_qps``.  Selects run
-    with ``use_cache=False``: every request pays the full selection
-    pipeline, the quantity the kernel vectorization targets.
-    """
-    from repro.api import Engine, SelectionRequest
-    from repro.core.kernels import use_kernel_backend
-    from repro.datasets.registry import dataset_names
-
-    bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-    config = SubTabConfig(k=k, l=l, seed=seed)
-    engine = Engine("subtab", config=config)
-    fit_start = time.perf_counter()
-    engine.fit(bundle.frame, binned=bundle.binned)
-    fit_seconds = time.perf_counter() - fit_start
-
-    states = _servable_session_states(
-        engine, bundle, n_sessions=n_sessions, dataset_name=dataset_name,
-        k=k, l=l, seed=seed, max_states=max_states,
-    )
-    requests = [
-        SelectionRequest(k=k, l=l, query=state, use_cache=False)
-        for state in states
-    ]
-    result = KernelQPSResult(
-        dataset=bundle.name, k=k, l=l, n_states=len(states), passes=passes,
-        fit_seconds=fit_seconds,
-        committed_baseline_qps=committed_baseline_qps,
-    )
-
-    for request in requests[:4]:  # warm allocators/BLAS outside the clock
-        engine.select(request)
-    best = float("inf")
-    for _ in range(passes):
-        start = time.perf_counter()
-        for request in requests:
-            engine.select(request)
-        best = min(best, time.perf_counter() - start)
-    result.cold = {
-        "served": len(requests),
-        "seconds": best,
-        "qps": len(requests) / best if best else 0.0,
-    }
-
-    sample = requests[:profile_states]
-    profile = {"profile_states": len(sample)}
-    with use_kernel_backend("fast"):
-        profile["fast"] = _stage_seconds(engine, sample)
-    with use_kernel_backend("reference"):
-        profile["reference"] = _stage_seconds(engine, sample)
-    result.profile = profile
-
-    names = (
-        list(tradeoff_datasets) if tradeoff_datasets is not None
-        else dataset_names()
-    )
-    for name in names:
-        result.tradeoff.append(_tradeoff_for_dataset(
-            name, n_rows=tradeoff_rows, k=k, l=tradeoff_l, seed=seed,
-            max_combinations=tradeoff_max_combinations,
-            sample_rates=sample_rates, repeats=tradeoff_repeats,
-        ))
-    return result

@@ -25,9 +25,7 @@ protocol of :class:`SocketServer` across a host boundary, and a
 member backends with per-dataset replication and failover — and is itself
 a backend, so clusters nest (a cluster of pools of engines).
 
-:class:`SubTabService` is the original single-table serving API, kept as a
-deprecated shim over :class:`repro.api.Engine`.  The cache primitives
-re-exported here live in :mod:`repro.api.cache`.
+The cache primitives re-exported here live in :mod:`repro.api.cache`.
 """
 
 from repro.api.cache import CacheStats, LRUCache, query_fingerprint
@@ -59,7 +57,6 @@ from repro.serve.errors import (
     TransportError,
 )
 from repro.serve.pool import EnginePool, PoolStats
-from repro.serve.service import SubTabService
 from repro.serve.transport import (
     RemoteBackend,
     SocketServer,
@@ -95,7 +92,6 @@ __all__ = [
     "RequestError",
     "SocketServer",
     "SpawnedServer",
-    "SubTabService",
     "TransportError",
     "artifact_backend",
     "make_replica_policy",

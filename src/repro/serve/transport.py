@@ -65,7 +65,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.api.request import SelectionRequest, SelectionResponse
 from repro.obs import (
@@ -623,7 +623,7 @@ class RemoteBackend(BaseBackend):
 
 def _build_server(backend, host, port, transport, tenants=None,
                   http_cache_size=0):
-    """The bound server of one child process (shared by both mains).
+    """The bound server of one spawned child process.
 
     ``"socket"``/``"asyncio"`` speak the length-prefixed framing;
     ``"http"`` stands the JSON gateway up over the same backend
@@ -647,26 +647,32 @@ def _build_server(backend, host, port, transport, tenants=None,
     return SocketServer(backend, host=host, port=port, own_backend=True)
 
 
-def _server_process_main(
-    conn, artifact, workers, cache_size, routing, algorithm, host, port,
-    transport, tenants=None, http_cache_size=0,
-) -> None:
+def _build_backend(source: tuple) -> BaseBackend:
+    """The backend a spawned server hosts, from its picklable description:
+    ``("artifact", path, options)`` or ``("store", path, options)``."""
+    kind, path, options = source
+    if kind == "store":
+        from repro.api.store import ArtifactStore
+        from repro.serve.backend import InProcessBackend
+
+        return InProcessBackend.from_store(ArtifactStore(path), **options)
     from repro.serve.backend import artifact_backend
 
+    return artifact_backend(path, **options)
+
+
+def _server_process_main(
+    conn: Any, source: tuple, host: str, port: int, transport: str,
+    tenants: Optional[str], http_cache_size: int,
+) -> None:
     signal.signal(signal.SIGTERM, lambda *args: sys.exit(0))
     try:
-        backend = artifact_backend(
-            artifact,
-            workers=workers,
-            cache_size=cache_size,
-            routing=routing,
-            algorithm=algorithm,
-        )
+        backend = _build_backend(source)
         server = _build_server(backend, host, port, transport,
                                tenants=tenants,
                                http_cache_size=http_cache_size)
     # Crossing a process boundary: the failure text travels back over the
-    # pipe and spawn_artifact_server re-wraps it as a typed TransportError.
+    # pipe and _spawn_server re-wraps it as a typed TransportError.
     except Exception as error:  # reprolint: ignore[error-taxonomy]
         conn.send(("error", f"{type(error).__name__}: {error}"))
         conn.close()
@@ -762,69 +768,19 @@ def spawn_artifact_server(
     one machine; production members are the same server started on real
     hosts (``python -m repro serve --transport socket|asyncio|http``).
     """
-    if transport not in ("socket", "asyncio", "http"):
-        raise ValueError(f"unknown transport {transport!r}")
-    context = multiprocessing.get_context()
-    parent_conn, child_conn = context.Pipe()
-    process = context.Process(
-        target=_server_process_main,
-        args=(child_conn, str(artifact), workers, cache_size, routing,
-              algorithm, host, port, transport,
-              None if tenants is None else str(tenants),
-              http_cache_size),
+    return _spawn_server(
+        f"server over {artifact}",
+        ("artifact", str(artifact), dict(
+            workers=workers, cache_size=cache_size, routing=routing,
+            algorithm=algorithm,
+        )),
         # A pooled member must be able to fork its own workers, which
         # daemonic processes may not.
         daemon=(workers == 1),
+        host=host, port=port, startup_timeout=startup_timeout,
+        transport=transport, tenants=tenants,
+        http_cache_size=http_cache_size,
     )
-    process.start()
-    child_conn.close()
-    if not parent_conn.poll(startup_timeout):
-        process.terminate()
-        process.join(timeout=5.0)
-        raise TransportError(
-            f"server over {artifact} did not report an address within "
-            f"{startup_timeout:.0f}s"
-        )
-    status, detail = parent_conn.recv()
-    parent_conn.close()
-    if status != "ok":
-        process.join(timeout=5.0)
-        raise TransportError(f"server over {artifact} failed to start: {detail}")
-    bound_host, bound_port = detail
-    return SpawnedServer(process, bound_host, bound_port)
-
-
-def _store_server_process_main(
-    conn, store_path, capacity, cache_size, host, port, transport,
-    tenants=None, http_cache_size=0,
-) -> None:
-    from repro.api.store import ArtifactStore
-    from repro.serve.backend import InProcessBackend
-
-    signal.signal(signal.SIGTERM, lambda *args: sys.exit(0))
-    try:
-        backend = InProcessBackend.from_store(
-            ArtifactStore(store_path),
-            capacity=capacity,
-            cache_size=cache_size,
-        )
-        server = _build_server(backend, host, port, transport,
-                               tenants=tenants,
-                               http_cache_size=http_cache_size)
-    # Crossing a process boundary: the failure text travels back over the
-    # pipe and spawn_store_server re-wraps it as a typed TransportError.
-    except Exception as error:  # reprolint: ignore[error-taxonomy]
-        conn.send(("error", f"{type(error).__name__}: {error}"))
-        conn.close()
-        return
-    conn.send(("ok", server.address))
-    conn.close()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
 
 
 def spawn_store_server(
@@ -850,16 +806,32 @@ def spawn_store_server(
     optional tenants-config path; connect with
     :class:`~repro.gateway.client.HttpBackend`).
     """
+    return _spawn_server(
+        f"store server over {store}",
+        ("store", str(store), dict(capacity=capacity, cache_size=cache_size)),
+        daemon=True, host=host, port=port, startup_timeout=startup_timeout,
+        transport=transport, tenants=tenants,
+        http_cache_size=http_cache_size,
+    )
+
+
+def _spawn_server(
+    label: str, source: tuple, *, daemon: bool, host: str, port: int,
+    startup_timeout: float, transport: str,
+    tenants: "Optional[str | Path]", http_cache_size: int,
+) -> SpawnedServer:
+    """Start a server over ``source`` (see :func:`_build_backend`) in a
+    child process and return once it reports its bound address; ``label``
+    names the server in the errors."""
     if transport not in ("socket", "asyncio", "http"):
         raise ValueError(f"unknown transport {transport!r}")
     context = multiprocessing.get_context()
     parent_conn, child_conn = context.Pipe()
     process = context.Process(
-        target=_store_server_process_main,
-        args=(child_conn, str(store), capacity, cache_size, host, port,
-              transport, None if tenants is None else str(tenants),
-              http_cache_size),
-        daemon=True,
+        target=_server_process_main,
+        args=(child_conn, source, host, port, transport,
+              None if tenants is None else str(tenants), http_cache_size),
+        daemon=daemon,
     )
     process.start()
     child_conn.close()
@@ -867,15 +839,13 @@ def spawn_store_server(
         process.terminate()
         process.join(timeout=5.0)
         raise TransportError(
-            f"store server over {store} did not report an address within "
+            f"{label} did not report an address within "
             f"{startup_timeout:.0f}s"
         )
     status, detail = parent_conn.recv()
     parent_conn.close()
     if status != "ok":
         process.join(timeout=5.0)
-        raise TransportError(
-            f"store server over {store} failed to start: {detail}"
-        )
+        raise TransportError(f"{label} failed to start: {detail}")
     bound_host, bound_port = detail
     return SpawnedServer(process, bound_host, bound_port)

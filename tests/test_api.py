@@ -8,6 +8,7 @@ rejection).
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.api import (
     selector_names,
     selector_spec,
 )
-from repro.baselines import NaiveClusteringSelector
+from repro.baselines import NaiveClusteringSelector, SubTabSelector
 from repro.core import SubTab, SubTabConfig
 from repro.core.fairness import GroupRepresentation
 from repro.embedding.word2vec import Word2VecConfig
@@ -180,6 +181,31 @@ class TestEngineServing:
         assert recomputed.subtable.row_indices == first.row_indices
         assert recomputed.subtable.columns == first.columns
 
+    def test_cache_key_includes_dimensions_and_targets(self, fitted_subtab):
+        engine = Engine("subtab", selector=SubTabSelector(subtab=fitted_subtab))
+        a = engine.select(k=4, l=3).subtable
+        b = engine.select(k=3, l=3).subtable
+        c = engine.select(k=4, l=3, targets=("OUTCOME",)).subtable
+        assert engine.cache_stats.misses == 3
+        assert b is not a and c is not a
+        assert "OUTCOME" in c.columns
+
+    def test_clear_cache(self, fitted_subtab):
+        engine = Engine("subtab", selector=SubTabSelector(subtab=fitted_subtab))
+        engine.select(k=4, l=3)
+        engine.clear_cache()
+        assert engine.cache_stats.size == 0
+        engine.select(k=4, l=3)
+        assert engine.cache_stats.misses == 1
+
+    def test_empty_projection_still_raises_after_cache_warm(self,
+                                                            fitted_subtab):
+        engine = Engine("subtab", selector=SubTabSelector(subtab=fitted_subtab))
+        pred = (Eq("KIND", "alpha"),)
+        engine.select(k=3, l=2, query=SPQuery(pred))  # warms the cache
+        with pytest.raises(ValueError, match="no columns"):
+            engine.select(k=3, l=2, query=SPQuery(pred, projection=()))
+
     def test_use_cache_false_bypasses_lru(self, planted_frame, fast_config):
         engine = Engine("subtab", fast_config).fit(planted_frame)
         engine.select(SelectionRequest(k=4, l=3, use_cache=False))
@@ -248,6 +274,58 @@ class TestEngineServing:
         assert (served["B"].row_indices, served["B"].columns) == (
             default.row_indices, default.columns
         )
+
+    def test_concurrent_greedy_approx_selects_keep_their_own_rng(
+            self, monkeypatch):
+        """Each greedy-approx select samples rows from its own seeded
+        generator, even when another select on the same engine draws in
+        between."""
+        from repro.datasets import make_dataset
+
+        engine = Engine(
+            "greedy-approx", SubTabConfig(k=5, l=4, seed=0),
+            selector_options=dict(max_combinations=6),
+        ).fit(make_dataset("cyber", n_rows=300, seed=0).frame)
+        request = SelectionRequest(k=5, l=4, use_cache=False)
+        serial = engine.select(request).subtable
+
+        selector = engine.selector
+        row_selection = selector._row_selection
+        a_waiting, b_drew = threading.Event(), threading.Event()
+
+        def hook(*args, **kwargs):
+            name = threading.current_thread().name
+            if name == "A" and not a_waiting.is_set():
+                a_waiting.set()
+                assert b_drew.wait(timeout=30)
+            picked = row_selection(*args, **kwargs)
+            if name == "B":
+                b_drew.set()
+            return picked
+
+        monkeypatch.setattr(selector, "_row_selection", hook)
+        served = {}
+
+        def serve(name):
+            served[name] = engine.select(request).subtable
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            a = threading.Thread(name="A", target=serve, args=("A",))
+            b = threading.Thread(name="B", target=serve, args=("B",))
+            a.start()
+            assert a_waiting.wait(timeout=30)
+            b.start()
+            for thread in (a, b):
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("A", "B"):
+            assert (served[name].row_indices, served[name].columns) == (
+                serial.row_indices, serial.columns
+            )
 
     def test_unsupported_mode_override_raises(self, planted_frame):
         engine = Engine("nc", SubTabConfig(k=3, l=3, seed=0)).fit(planted_frame)

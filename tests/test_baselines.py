@@ -196,6 +196,10 @@ class TestSubTabAdapter:
         assert "OUTCOME" in result.columns
         assert selector.name == "SubTab"
 
+    def test_rejects_config_and_subtab(self, fitted_subtab, fast_subtab_config):
+        with pytest.raises(ValueError, match="not both"):
+            SubTabSelector(config=fast_subtab_config, subtab=fitted_subtab)
+
 
 class TestOrderingOnPlantedData:
     def test_subtab_scores_high_on_planted_data(self, scorer, planted_binned):

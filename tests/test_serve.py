@@ -7,30 +7,7 @@ import pytest
 
 from repro.queries.ops import SPQuery
 from repro.queries.predicates import Eq, InRange
-from repro.serve import CacheStats, LRUCache, SubTabService, query_fingerprint
-
-# SubTabService is deprecated (see TestDeprecation); the shim's behaviour is
-# still covered here, without every construction shouting about it.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:SubTabService is deprecated:DeprecationWarning"
-)
-
-
-@pytest.fixture(scope="module")
-def service(fitted_subtab):
-    return SubTabService(subtab=fitted_subtab, cache_size=8)
-
-
-class TestDeprecation:
-    def test_subtab_service_warns_and_points_at_the_new_surface(
-        self, fast_subtab_config
-    ):
-        with pytest.warns(DeprecationWarning,
-                          match=r"repro\.api\.Engine.*repro\.api\.Workspace"):
-            service = SubTabService(config=fast_subtab_config)
-        # the shim keeps working after the warning
-        assert not service.is_fitted
-        assert service.name == "SubTabService"
+from repro.serve import CacheStats, LRUCache, query_fingerprint
 
 
 class TestQueryFingerprint:
@@ -154,112 +131,37 @@ class TestLRUCache:
             assert cache.get(key) == key
 
 
-class TestSubTabService:
-    def test_requires_fit(self, fast_subtab_config):
-        fresh = SubTabService(config=fast_subtab_config)
-        assert not fresh.is_fitted
-        with pytest.raises(RuntimeError):
-            fresh.select()
+class TestSubTabSelectorVectors:
+    """The selector's cached tuple-vector fast path serves query views."""
 
-    def test_rejects_config_and_subtab(self, fitted_subtab, fast_subtab_config):
-        with pytest.raises(ValueError):
-            SubTabService(config=fast_subtab_config, subtab=fitted_subtab)
-
-    def test_matches_cold_pipeline_full_table(self, service, fitted_subtab):
-        cold = fitted_subtab.select(k=5, l=4)
-        served = service.select(k=5, l=4)
-        assert served.row_indices == cold.row_indices
-        assert served.columns == cold.columns
-
-    def test_matches_cold_pipeline_on_projecting_query(self, service, fitted_subtab):
-        query = SPQuery(
-            (Eq("KIND", "alpha"),),
-            projection=("SPEED", "OUTCOME", "KIND"),
-        )
-        cold = fitted_subtab.select(k=3, l=2, query=query)
-        served = service.select(k=3, l=2, query=query)
-        assert served.row_indices == cold.row_indices
-        assert served.columns == cold.columns
-
-    def test_repeat_select_hits_cache(self, fitted_subtab):
-        service = SubTabService(subtab=fitted_subtab, cache_size=4)
-        first = service.select(k=4, l=3)
-        second = service.select(k=4, l=3)
-        assert second is first
-        stats = service.cache_stats
-        assert stats.hits == 1 and stats.misses == 1
-
-    def test_cache_key_includes_dimensions_and_targets(self, fitted_subtab):
-        service = SubTabService(subtab=fitted_subtab, cache_size=8)
-        a = service.select(k=4, l=3)
-        b = service.select(k=3, l=3)
-        c = service.select(k=4, l=3, targets=("OUTCOME",))
-        assert service.cache_stats.misses == 3
-        assert b is not a and c is not a
-        assert "OUTCOME" in c.columns
-
-    def test_clear_cache(self, fitted_subtab):
-        service = SubTabService(subtab=fitted_subtab, cache_size=4)
-        service.select(k=4, l=3)
-        service.clear_cache()
-        assert service.cache_stats.size == 0
-        service.select(k=4, l=3)
-        assert service.cache_stats.misses == 1
-
-    def test_view_row_vectors_match_model(self, service, fitted_subtab):
+    def test_view_row_vectors_match_model(self, fitted_engine, fitted_subtab):
+        selector = fitted_engine.selector
         binned = fitted_subtab.binned
         rows = np.array([0, 7, 11, 42])
         columns = list(binned.columns[1:4])
         view = binned.subset(rows=rows, columns=columns)
         np.testing.assert_array_equal(
-            service.view_row_vectors(rows, columns),
+            selector.view_row_vectors(rows, columns),
             fitted_subtab.model.row_vectors(view),
         )
         # full-column fast path
         np.testing.assert_array_equal(
-            service.view_row_vectors(rows, binned.columns),
+            selector.view_row_vectors(rows, binned.columns),
             fitted_subtab.model.row_vectors(binned.subset(rows=rows)),
         )
 
-    def test_view_row_vectors_accept_boolean_masks(self, service, fitted_subtab):
+    def test_view_row_vectors_accept_boolean_masks(self, fitted_engine,
+                                                   fitted_subtab):
+        selector = fitted_engine.selector
         binned = fitted_subtab.binned
         mask = np.zeros(binned.n_rows, dtype=bool)
         mask[[2, 9, 30]] = True
         columns = list(binned.columns[1:3])
         np.testing.assert_array_equal(
-            service.view_row_vectors(mask, columns),
+            selector.view_row_vectors(mask, columns),
             fitted_subtab.model.row_vectors(
                 binned.subset(rows=mask, columns=columns)
             ),
         )
         with pytest.raises(IndexError):
-            service.view_row_vectors(np.array([0.5, 1.5]), columns)
-
-    def test_fit_from_config(self, planted_frame, fast_subtab_config):
-        service = SubTabService(config=fast_subtab_config, cache_size=4).fit(
-            planted_frame
-        )
-        assert service.is_fitted
-        result = service.select()
-        assert result.shape == (fast_subtab_config.k, fast_subtab_config.l)
-
-    def test_invalid_dimensions(self, service):
-        with pytest.raises(ValueError):
-            service.select(k=0, l=3)
-
-    def test_empty_projection_still_raises_after_cache_warm(self, fitted_subtab):
-        service = SubTabService(subtab=fitted_subtab, cache_size=4)
-        pred = (Eq("KIND", "alpha"),)
-        service.select(k=3, l=2, query=SPQuery(pred))  # warms the cache
-        with pytest.raises(ValueError, match="no columns"):
-            service.select(k=3, l=2, query=SPQuery(pred, projection=()))
-
-    def test_drives_session_replay(self, service, planted_binned):
-        """The service satisfies the selector protocol used by replay."""
-        from repro.queries.generator import SessionGenerator
-        from repro.queries.replay import replay_sessions
-
-        sessions = SessionGenerator(planted_binned, seed=3).generate(2)
-        result = replay_sessions(service, sessions, k=4, l=3)
-        assert result.selector == "SubTabService"
-        assert result.total >= 0
+            selector.view_row_vectors(np.array([0.5, 1.5]), columns)
