@@ -1,7 +1,7 @@
 """Async transport throughput — pipelined frames and read-from-replica.
 
 Two serving-layer claims, measured on one machine with the cyclic session
-workload of the pool/cluster benchmarks:
+workload of the cluster benchmark:
 
 1. **Pipelining beats round-tripping on the same single member.**  The
    sync ``RemoteBackend`` can never have more than one frame in flight

@@ -7,8 +7,8 @@ routing shards the request stream so the ring's aggregate selection-LRU
 capacity is ``members x cache_size``.  This benchmark serves the same
 cyclic session workload — more distinct states than one member's LRU
 holds — through clusters of 1, 2, and 4 members and records each ring's
-aggregate QPS next to the single-warm-engine baseline and the committed
-single-host pool numbers (``BENCH_pool_qps.json``).
+aggregate QPS next to the single-warm-engine baseline.  The same ring of
+spawned members is how several serving processes share one host.
 
 On a single-core host the scaling is pure cache sharding plus pipelined
 socket I/O (members time-share the CPU); on multi-host deployments CPU
@@ -30,7 +30,6 @@ from pathlib import Path
 from repro.bench import render_record, run_cluster_qps_experiment
 
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
-POOL_REFERENCE = Path(__file__).resolve().parent.parent / "BENCH_pool_qps.json"
 
 
 def _out_path() -> Path:
@@ -51,7 +50,6 @@ def test_cluster_qps_scaling(benchmark, once, capsys):
         seed=0,
         member_counts=(1, 2, 4),
         rounds=6,
-        pool_reference_path=str(POOL_REFERENCE),
     )
     with capsys.disabled():
         print()

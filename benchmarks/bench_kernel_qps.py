@@ -6,8 +6,8 @@ centroid accumulation, row collapse, coverage unions) onto batched numpy
 primitives — bit-identical to the ``REPRO_KERNEL=reference`` loops by
 construction — a *cold* single engine (``use_cache=False``, every select
 pays the full pipeline) serves at least 3x the committed ~78.6 QPS
-single-engine figure from ``BENCH_pool_qps.json`` on the same workload
-shape.  The per-stage profile (fast vs reference backend on the same
+pre-kernel single-engine figure (``committed_baseline_qps`` in
+``BENCH_kernel_qps.json``) on the same workload shape.  The per-stage profile (fast vs reference backend on the same
 selects) records where the time went.
 
 Second, the Sec. 4 approximation claim: the registry's ``greedy-approx``
@@ -35,8 +35,8 @@ from repro.bench import (
 DEFAULT_OUT_DIR = Path(__file__).resolve().parent / "out"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: QPS floor = 3x the committed single-engine baseline of the pool bench
-#: (same dataset, k, l, seed, and session-state workload shape).
+#: QPS floor = 3x the committed pre-kernel single-engine baseline (same
+#: dataset, k, l, seed, and session-state workload shape).
 BASELINE_MULTIPLE = 3.0
 
 
@@ -47,8 +47,8 @@ def _out_path() -> Path:
 
 
 def _committed_baseline_qps() -> float:
-    record = json.loads((REPO_ROOT / "BENCH_pool_qps.json").read_text())
-    return float(record["baseline"]["qps"])
+    record = json.loads((REPO_ROOT / "BENCH_kernel_qps.json").read_text())
+    return float(record["committed_baseline_qps"])
 
 
 def test_kernel_qps_and_greedy_approx_tradeoff(benchmark, once, capsys):

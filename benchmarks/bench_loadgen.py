@@ -1,6 +1,6 @@
 """Open-loop load harness — the saturation knee of one async server.
 
-The closed-loop QPS benchmarks (pool/cluster/async) measure ceilings:
+The closed-loop QPS benchmarks (cluster/async) measure ceilings:
 how fast a topology drains a queue that is always full.  This benchmark
 measures what analysts experience on the way to that ceiling: seeded
 sessions arrive open-loop (Poisson arrivals at a fixed rate, exponential

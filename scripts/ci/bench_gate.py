@@ -33,8 +33,6 @@ def _headline_qps(record: dict) -> dict:
     """The comparable ``{label: qps}`` figures of one bench record, keyed
     by the record's ``experiment`` field."""
     experiment = record.get("experiment")
-    if experiment == "pool_qps":
-        return {"pool": record["pool"]["qps"]}
     if experiment == "cluster_qps":
         members = record["members"]
         biggest = max(members, key=int)

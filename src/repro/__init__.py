@@ -16,8 +16,8 @@ The package implements the SubTab framework end to end:
   ``Engine`` per-dataset kernel with persistable fitted artifacts, the
   ``ArtifactStore`` of named versioned artifacts, and the ``Workspace``
   multi-dataset front door;
-* :mod:`repro.serve` — multi-process serving: ``EnginePool`` warm-start
-  worker pools;
+* :mod:`repro.serve` — serving topologies behind one backend protocol:
+  in-process, socket and asyncio servers, and consistent-hash rings;
 * :mod:`repro.datasets` — synthetic stand-ins for the paper's six datasets;
 * :mod:`repro.study` — simulated user study (Table 1, Fig. 5);
 * :mod:`repro.hardness` — executable reductions behind Propositions 4.1/4.2.
@@ -53,7 +53,6 @@ from repro.core import (
 from repro.frame import Column, DataFrame, read_csv, to_csv
 from repro.metrics import Scores, SubTableScorer
 from repro.rules import AssociationRule, RuleMiner
-from repro.serve import EnginePool
 
 __version__ = "1.2.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "Column",
     "DataFrame",
     "Engine",
-    "EnginePool",
     "ExplorationSession",
     "RuleMiner",
     "Scores",

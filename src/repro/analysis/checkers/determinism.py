@@ -3,7 +3,7 @@
 
 The reproduction claim of the source paper rests on bit-identical
 replays: the backend-equivalence suite asserts that the in-process,
-pooled, socket, and async paths select the *same* sub-table for the same
+cluster, socket, and async paths select the *same* sub-table for the same
 seeded request stream.  One unseeded RNG — or one draw from the process
 -global ``random``/``numpy.random`` state, whose sequence depends on
 everything else that ran in the process — silently breaks that

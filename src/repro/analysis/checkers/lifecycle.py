@@ -1,6 +1,6 @@
 """Rule ``resource-lifecycle``: close what you construct.
 
-Backends, pools, servers, and socket clients hold worker processes, file
+Backends, servers, and socket clients hold child processes, file
 descriptors, and listening sockets; dropping one on the floor leaks
 those until interpreter exit (and in tests, across tests).  This rule
 flags constructions of close()-bearing classes that can neither be
@@ -12,8 +12,8 @@ released nor escape:
   ``.terminate()``/``.shutdown()`` call, a ``return``/``yield``, a call
   argument (``closing(conn)``, ``stack.enter_context(conn)``, handing it
   to another owner), a container literal, or the right-hand side of an
-  attribute/subscript assignment (``self.pool = pool.start()`` — the
-  instance owns it now).
+  attribute/subscript assignment (``self.server = server.start()`` —
+  the instance owns it now).
 
 Constructions that escape immediately — returned, yielded, passed as an
 argument, stored on an attribute, placed in a container, or opened in a
@@ -35,10 +35,9 @@ from repro.analysis.framework import Checker, ModuleContext, walk_scope
 #: Constructors/factories across the project that hand back something
 #: the caller must release.
 WATCHED_CONSTRUCTORS = {
-    "EnginePool", "SocketServer", "AsyncSocketServer", "RemoteBackend",
-    "AsyncRemoteBackend", "InProcessBackend", "PoolBackend",
-    "ClusterRouter", "artifact_backend", "spawn_artifact_server",
-    "spawn_store_server",
+    "SocketServer", "AsyncSocketServer", "RemoteBackend",
+    "AsyncRemoteBackend", "InProcessBackend", "ClusterRouter",
+    "spawn_artifact_server", "spawn_store_server",
     "HttpGateway", "HttpServer", "HttpBackend", "GatewayApp",
     "ResponseCache",
 }
@@ -145,7 +144,7 @@ class ResourceLifecycleChecker(Checker):
             if isinstance(parent, (ast.Call, ast.Attribute, ast.Await,
                                    ast.IfExp, ast.BoolOp, ast.Starred,
                                    ast.keyword)):
-                # e.g. `EnginePool(...).start()` — keep climbing to see
+                # e.g. `SocketServer(...).start()` — keep climbing to see
                 # where the chain's result lands.
                 node = parent
                 continue

@@ -31,8 +31,7 @@ from repro.analysis.framework import Checker, ModuleContext, walk_scope
 #: The project's typed error vocabulary (serve/errors.py + api/wire.py
 #: + the gateway's HTTP-facing refinements in gateway/).
 TYPED_ERRORS = {
-    "BackendError", "RequestError", "TransportError", "PoolError",
-    "PoolWorkerDied", "PoolRequestError", "RemoteServerError",
+    "BackendError", "RequestError", "TransportError", "RemoteServerError",
     "RemoteRequestError", "ClusterError", "PipelineCancelled",
     "WireFormatError",
     "HttpError", "GatewayAuthError", "TenantForbiddenError",

@@ -1,6 +1,6 @@
 """Rule ``wire-completeness``: every dataclass field crosses the wire.
 
-The pool workers and socket servers move requests and responses between
+The socket, asyncio and HTTP servers move requests and responses between
 processes as JSON; a field added to ``SelectionRequest`` or
 ``SelectionResponse`` without a matching codec key silently vanishes at
 the first process boundary — the in-process path keeps working, the

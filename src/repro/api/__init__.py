@@ -31,8 +31,8 @@ Layered bottom-up:
   batches, via ``select_many``) to lazily loaded engines behind a
   capacity-bounded eviction policy.
 
-For serving topologies above this stack — process pools, socket
-transport, consistent-hash clusters — see the
+For serving topologies above this stack — socket and asyncio
+transports, consistent-hash clusters — see the
 :class:`repro.serve.ExecutionBackend` protocol and its implementations
 (:mod:`repro.serve`).
 """

@@ -17,9 +17,9 @@ FULL_TABLE_FINGERPRINT = "<full-table>"
 
 def stable_hash64(data: "bytes | str") -> int:
     """A process-stable 64-bit content hash (never ``hash()``, which is
-    salted per interpreter).  Both routing layers — the pool's worker
-    affinity and the cluster ring — key on this one function, so "same
-    request, same shard" holds across layers and across restarts."""
+    salted per interpreter).  The cluster ring and its ``hash`` replica
+    policy key on this one function, so "same request, same shard" holds
+    across nested rings and across restarts."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     return int.from_bytes(hashlib.sha1(data).digest()[:8], "big")

@@ -4,15 +4,15 @@ A :class:`SelectionRequest` captures everything a display needs — sub-table
 dimensions, the exploratory query, target columns, fairness constraint,
 per-request mode overrides, and (for the multi-dataset stack) the
 ``dataset``/``algorithm`` routing keys — in one validated value object, so
-every entry point (Engine, Workspace, EnginePool, CLI, benchmarks) speaks
-the same vocabulary.  A :class:`SelectionResponse` pairs the selected
+every entry point (Engine, Workspace, serving backends, CLI, benchmarks)
+speaks the same vocabulary.  A :class:`SelectionResponse` pairs the selected
 :class:`~repro.core.SubTable` with timing and cache metadata, making the
 paper's preprocess/select split (Fig. 9) observable per request.
 
 Both objects cross process boundaries losslessly: ``to_json``/``from_json``
 serialize every field — queries and fairness constraints included — via the
-codecs in :mod:`repro.api.wire`, which is how :class:`~repro.serve.pool
-.EnginePool` workers receive requests and return responses.
+codecs in :mod:`repro.api.wire`, which is how socket, asyncio and HTTP
+servers receive requests and return responses.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """JSON wire format for requests and responses crossing process boundaries.
 
-The multi-process serving stack (:class:`~repro.serve.pool.EnginePool`
-workers, remote workspaces) moves :class:`~repro.api.SelectionRequest` and
+The serving transports (the socket and asyncio servers, the HTTP
+gateway, and the clients that speak to them) move
+:class:`~repro.api.SelectionRequest` and
 :class:`~repro.api.SelectionResponse` objects between processes as JSON
 text.  This module owns the codecs for the payloads those objects carry:
 

@@ -56,8 +56,8 @@ class WorkspaceStats:
 
     def to_json(self) -> dict:
         """JSON-serializable snapshot, shaped like every serving-stats
-        object (``type`` + ``served`` + detail) so workspace, pool, and
-        cluster accounting report comparable fields."""
+        object (``type`` + ``served`` + detail) so workspace and cluster
+        accounting report comparable fields."""
         return {
             "type": "workspace",
             "served": self.served,

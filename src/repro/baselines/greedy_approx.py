@@ -161,8 +161,9 @@ class ApproxGreedySelector(GreedySelector):
 
     def _select_rng(self) -> np.random.Generator:
         # Fresh stream per select, owned by that select: replayable on
-        # every serving topology (pool workers, remote sessions) regardless
-        # of request history, and private to the call when selects race.
+        # every serving topology (cluster members, remote sessions)
+        # regardless of request history, and private to the call when
+        # selects race.
         return ensure_rng(self._seed)
 
     def _row_selection(

@@ -17,6 +17,7 @@ import numpy as np
 from repro.baselines.base import BaseSelector
 from repro.binning.pipeline import BinnedTable
 from repro.cluster.centroids import select_representatives
+from repro.utils.rng import ensure_rng
 
 
 def one_hot_rows(view: BinnedTable, max_onehot: int = 30) -> np.ndarray:
@@ -105,9 +106,12 @@ class NaiveClusteringSelector(BaseSelector):
         targets: list[str],
         modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
+        # A fresh generator per select: a repeated request gets the same
+        # answer whatever this selector served before.
+        rng = ensure_rng(self._seed)
         row_features = one_hot_rows(view, max_onehot=self.max_onehot)
         local_rows = select_representatives(
-            row_features, k, n_init=self.n_init, seed=self._rng
+            row_features, k, n_init=self.n_init, seed=rng
         )
 
         candidates = [name for name in columns if name not in targets]
@@ -117,11 +121,11 @@ class NaiveClusteringSelector(BaseSelector):
         elif n_free == 0:
             chosen = set()
         else:
-            column_vectors = column_feature_vectors(view, self.sample_rows, self._rng)
+            column_vectors = column_feature_vectors(view, self.sample_rows, rng)
             candidate_idx = [view.column_index(name) for name in candidates]
             picked = select_representatives(
                 column_vectors[candidate_idx], n_free,
-                n_init=self.n_init, seed=self._rng,
+                n_init=self.n_init, seed=rng,
             )
             chosen = {candidates[i] for i in picked}
         chosen.update(targets)

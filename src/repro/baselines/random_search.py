@@ -17,6 +17,7 @@ from repro.baselines.base import BaseSelector, random_column_choice
 from repro.binning.pipeline import BinnedTable
 from repro.metrics.combined import SubTableScorer
 from repro.rules.miner import RuleMiner
+from repro.utils.rng import ensure_rng
 
 
 class RandomSelector(BaseSelector):
@@ -79,6 +80,9 @@ class RandomSelector(BaseSelector):
         modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         scorer = self._scorer
+        # A fresh generator per select: a repeated request gets the same
+        # answer whatever this selector served before.
+        rng = ensure_rng(self._seed)
         n = len(rows)
         k = min(k, n)
         deadline = time.perf_counter() + self.time_budget
@@ -86,8 +90,8 @@ class RandomSelector(BaseSelector):
         best: tuple[list[int], list[str]] | None = None
         draws = 0
         while draws < self.min_draws or time.perf_counter() < deadline:
-            local_rows = self._rng.choice(n, size=k, replace=False)
-            chosen_columns = random_column_choice(self._rng, columns, l, targets)
+            local_rows = rng.choice(n, size=k, replace=False)
+            chosen_columns = random_column_choice(rng, columns, l, targets)
             global_rows = rows[local_rows]
             score = scorer.combined(global_rows, chosen_columns)
             if score > best_score:

@@ -49,7 +49,6 @@ from repro.bench.serving import (
     run_http_qps_experiment,
     run_kernel_qps_experiment,
     run_loadgen_experiment,
-    run_pool_qps_experiment,
     run_serve_session_experiment,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "run_kernel_qps_experiment",
     "run_loadgen_experiment",
     "run_parameter_tuning_experiment",
-    "run_pool_qps_experiment",
     "run_quality_experiment",
     "run_runtime_experiment",
     "run_serve_session_experiment",

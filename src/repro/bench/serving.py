@@ -1,10 +1,10 @@
 """The serving experiments and the leg harness they share.
 
 The paper's interactivity argument (Sec. 6) rests on the serving stack
-answering a session's next display fast, so eight experiments measure it
-end to end: cold vs cached replay, pooled and clustered QPS, the
-pipelined transport and replica routing, the open-loop knee, the HTTP
-front door and its response cache, and the vectorized cold path.  Each
+answering a session's next display fast, so seven experiments measure it
+end to end: cold vs cached replay, clustered QPS, the pipelined
+transport and replica routing, the open-loop knee, the HTTP front door
+and its response cache, and the vectorized cold path.  Each
 returns its JSON record, a plain dict built in one place; the benchmarks
 under ``benchmarks/`` print it with :func:`render_record`, assert on it
 and write it out, and ``scripts/ci/bench_gate.py`` compares it with the
@@ -53,20 +53,17 @@ from repro.rules.miner import RuleMiner
 from repro.serve import (
     AsyncRemoteBackend,
     ClusterRouter,
-    EnginePool,
     RemoteBackend,
     spawn_artifact_server,
     spawn_store_server,
 )
 
-#: Distinct session states in the cyclic pool/cluster/async workloads.
+#: Distinct session states in the cyclic cluster/async/kernel workloads.
 MAX_STATES = 48
 #: Per-process LRU capacity over the mean shard size: the slack absorbs
 #: content-hash imbalance so each shard fits its LRU, while one process
 #: still cannot hold the whole working set.
 SHARD_SLACK = 2.0
-#: Processes per cluster member: one, so ring size alone sets capacity.
-WORKERS_PER_MEMBER = 1
 #: Selection LRU of the session-replay engine: larger than any session
 #: set it replays, so every replayed step can hit.
 SERVE_CACHE_SIZE = 1024
@@ -192,8 +189,7 @@ def ring_leg(artifact: str, workload: Sequence, *, members: int,
     try:
         for _ in range(members):
             servers.append(spawn_artifact_server(
-                artifact, workers=WORKERS_PER_MEMBER, cache_size=cache_size,
-                transport=transport,
+                artifact, cache_size=cache_size, transport=transport,
             ))
         router = ClusterRouter(
             [(f"m{i}", server.connect() if window is None
@@ -281,8 +277,8 @@ def _servable_session_states(
     """Distinct, servable session states of a generated workload.
 
     Degenerate states would fail on every serving path; excluding them up
-    front keeps the compared workloads identical.  Shared by the pool,
-    cluster, async and kernel experiments so all measure the same kind of
+    front keeps the compared workloads identical.  Shared by the cluster,
+    async and kernel experiments so all measure the same kind of
     cyclic, LRU-adversarial session traffic.
     """
     sessions = SessionGenerator(
@@ -308,8 +304,8 @@ def _servable_session_states(
 
 
 def _warm_baseline(artifact: str, workload: Sequence, cache_size: int) -> dict:
-    """The single warm engine the pool and the ring are compared with: one
-    ``Engine.load``-ed process with one worker's (member's) LRU capacity."""
+    """The single warm engine the ring is compared with: one
+    ``Engine.load``-ed process with one member's LRU capacity."""
     single = Engine.load(artifact, cache_size=cache_size)
     leg = closed_loop(single.select, workload)
     stats = single.cache_stats
@@ -408,72 +404,6 @@ def run_serve_session_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Pooled serving throughput — single warm engine vs. EnginePool
-# ---------------------------------------------------------------------------
-
-def run_pool_qps_experiment(
-    dataset_name: str = "cyber",
-    n_sessions: int = 12,
-    k: int = 10,
-    l: int = 7,
-    seed: int = 0,
-    n_rows: Optional[int] = None,
-    workers: int = 4,
-    rounds: int = 6,
-    routing: str = "hash",
-) -> dict:
-    """Measure single-process warm-LRU QPS vs. pooled aggregate QPS.
-
-    Fits one engine, saves the artifact, and serves the same workload two
-    ways: a single ``Engine.load``-ed process, and an
-    :class:`~repro.serve.EnginePool` of ``workers`` processes warm-started
-    from that artifact (preprocessing cost 0 on both sides).  Per-process
-    LRU capacity is ``ceil(SHARD_SLACK * n_states / workers)`` on both
-    sides.  The workload cycles ``rounds`` times over more distinct
-    session states than one process's LRU holds — the cyclic access
-    pattern is LRU's worst case, so the single process recomputes every
-    display, while hash-routed pooling shards the states across workers
-    (aggregate capacity ``workers x cache_size``) and serves repeats warm.
-    On a single core that cache sharding is the entire pooled win; on
-    multi-core hosts CPU parallelism compounds it.  The pool leg is
-    ``PoolStats``' JSON shape, so the pool and cluster records carry
-    comparable fields.
-    """
-    bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
-    with fitted([bundle], k=k, l=l, seed=seed) as fit:
-        engine = fit.engines[bundle.name]
-        artifact = str(fit.store.path(bundle.name))
-        states = _servable_session_states(
-            engine, bundle, n_sessions=n_sessions, dataset_name=dataset_name,
-            k=k, l=l, seed=seed, max_states=MAX_STATES,
-        )
-        cache_size = max(1, math.ceil(SHARD_SLACK * len(states) / workers))
-        workload = [SelectionRequest(k=k, l=l, query=state)
-                    for state in states] * rounds
-        baseline = _warm_baseline(artifact, workload, cache_size)
-        with EnginePool(artifact, workers=workers, cache_size=cache_size,
-                        routing=routing) as pool:
-            pool.select_many(workload)
-            pooled = pool.stats.to_json()
-    return {
-        "experiment": "pool_qps",
-        "dataset": bundle.name,
-        "algorithm": engine.algorithm,
-        "k": k,
-        "l": l,
-        "n_states": len(states),
-        "rounds": rounds,
-        "workers": workers,
-        "cache_size": cache_size,
-        "routing": routing,
-        "fit_seconds": fit.seconds[bundle.name],
-        "baseline": baseline,
-        "pool": pooled,
-        "qps_speedup": _ratio(pooled["qps"], baseline["qps"]),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Cluster QPS — consistent-hash members over the socket transport
 # ---------------------------------------------------------------------------
 
@@ -486,7 +416,6 @@ def run_cluster_qps_experiment(
     n_rows: Optional[int] = None,
     member_counts: Sequence[int] = (1, 2, 4),
     rounds: int = 6,
-    pool_reference_path: Optional[str] = None,
 ) -> dict:
     """Measure aggregate QPS across 1 -> 2 -> 4 socket-served members.
 
@@ -498,15 +427,12 @@ def run_cluster_qps_experiment(
     it to real hosts an rsync).  Per-member LRU capacity is fixed at
     ``ceil(SHARD_SLACK * n_states / max(member_counts))`` for every run,
     so aggregate cache capacity grows with the ring: one member thrashes
-    its LRU, the full ring holds the whole working set — the same sharding
-    effect :func:`run_pool_qps_experiment` measures in-process, now across
-    the host-boundary transport.
+    its LRU, the full ring holds the whole working set.  On one host this
+    ring is also how several serving processes share one artifact.
 
     ``members`` maps the member count (as a string, for JSON stability) to
     that ring's leg, with the same ``served``/``seconds``/``qps`` fields
-    the pool record carries.  ``pool_reference_path`` may name a committed
-    pool-bench record whose baseline/pool QPS are embedded for
-    side-by-side trajectory reading.
+    as the single warm engine's ``baseline`` leg.
     """
     bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
     with fitted([bundle], k=k, l=l, seed=seed) as fit:
@@ -530,7 +456,6 @@ def run_cluster_qps_experiment(
             )
             for count in member_counts
         }
-    reference = _reference(pool_reference_path)
     first = members[str(member_counts[0])]["qps"]
     return {
         "experiment": "cluster_qps",
@@ -541,7 +466,6 @@ def run_cluster_qps_experiment(
         "n_states": len(states),
         "rounds": rounds,
         "member_counts": list(member_counts),
-        "workers_per_member": WORKERS_PER_MEMBER,
         "cache_size": cache_size,
         "transport": "socket",
         "fit_seconds": fit.seconds[bundle.name],
@@ -549,12 +473,6 @@ def run_cluster_qps_experiment(
         "members": members,
         "qps_scaling": {count: _ratio(leg["qps"], first)
                         for count, leg in members.items()},
-        "pool_reference": reference and {
-            "baseline_qps": reference["baseline"]["qps"],
-            "pool_qps": reference["pool"]["qps"],
-            "workers": reference["workers"],
-            "routing": reference["routing"],
-        },
     }
 
 
@@ -664,7 +582,7 @@ def run_async_qps_experiment(
     """Measure pipelined-vs-sync client QPS and read-replica scaling.
 
     Fits one engine, saves the artifact, and serves the cyclic session
-    workload of the pool/cluster benchmarks two ways.
+    workload of the cluster benchmark two ways.
 
     **Pipelining** (one asyncio member): the sync
     :class:`~repro.serve.RemoteBackend` serializes a full round trip per
@@ -1208,12 +1126,13 @@ def run_kernel_qps_experiment(
     ``cold`` is the best of ``passes`` passes of uncached single-engine
     selects (``use_cache=False``: every request pays the full selection
     pipeline, the quantity the kernel vectorization targets), after four
-    warm-up selects outside the clock.  The workload reuses the pool
+    warm-up selects outside the clock.  The workload reuses the cluster
     bench's session-state generation (same dataset, k, l, seed, state
-    cap) so the recorded QPS is directly comparable to the committed
-    ``BENCH_pool_qps.json`` baseline figure, which callers pass in as
-    ``committed_baseline_qps`` — the number every other serving-layer
-    multiplier (LRU, pooling, clustering) stacks on top of.
+    cap) so the recorded QPS is directly comparable to the pre-kernel
+    single-engine figure (78.6 QPS, kept in ``BENCH_kernel_qps.json``),
+    which callers pass in as ``committed_baseline_qps`` — the number
+    every other serving-layer multiplier (LRU, clustering) stacks on top
+    of.
 
     ``profile`` holds per-stage cumulative seconds of the same selects
     under the fast and reference kernel backends ("after" vs "before" of

@@ -7,16 +7,16 @@ Commands:
   selection algorithm;
 * ``fit`` — preprocess a table once and save the fitted engine artifact;
 * ``serve`` — build an :class:`~repro.serve.ExecutionBackend` from the
-  flags and drive generated exploration sessions through it.  One code
-  path covers every topology: in-process (default), a warm-start
-  :class:`~repro.serve.EnginePool` (``--workers N``), a socket *server*
-  exposing the backend to other hosts (``--transport socket``, or
-  ``--transport asyncio`` for the pipelined many-in-flight server), and a
+  flags and drive generated exploration sessions through it, or expose it
+  as a server.  The backend is an engine in this process (default) or a
   client of one or more remote servers (``--connect HOST:PORT[,...]`` —
   several members form a consistent-hash
   :class:`~repro.serve.ClusterRouter` with ``--replicas`` failover and a
   ``--replica-policy`` read-routing policy; ``--pipelined`` speaks the
-  multiplexed client to each member);
+  multiplexed client to each member).  ``--transport socket``,
+  ``asyncio`` or ``http`` serves that backend to other processes instead
+  of driving it, so a server started with ``--connect`` fronts a ring:
+  that is how several processes serve one artifact on one host;
 * ``experiment`` — run one of the paper's experiments and print its
   table/figure;
 * ``datasets`` — list the available synthetic datasets;
@@ -29,7 +29,6 @@ Examples::
     python -m repro fit --dataset cyber --rows 2000 --out /tmp/cyber-engine
     python -m repro show --artifact /tmp/cyber-engine
     python -m repro serve --artifact /tmp/cyber-engine --sessions 5
-    python -m repro serve --artifact /tmp/cyber-engine --workers 4 --routing hash
     python -m repro serve --artifact /tmp/cyber-engine --transport socket --port 7341
     python -m repro serve --artifact /tmp/cyber-engine --transport asyncio --port 0 \
         --stats-interval 10
@@ -37,6 +36,8 @@ Examples::
     python -m repro serve --artifact /tmp/cyber-engine \
         --connect hostA:7341,hostB:7341 --replicas 2 \
         --replica-policy hash --pipelined
+    python -m repro serve --artifact /tmp/cyber-engine --transport asyncio \
+        --port 7340 --connect 127.0.0.1:7341,127.0.0.1:7342 --replicas 1
     python -m repro experiment fig8 --rows 1500
 """
 
@@ -130,18 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--cache-size", type=int, default=256,
                        help="selection-LRU capacity (per process)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="serve through an EnginePool of N warm-start "
-                            "processes (1: serve in-process)")
-    serve.add_argument("--routing", choices=["shared", "hash"],
-                       default="shared",
-                       help="pool request routing: one shared queue, or "
-                            "per-worker queues keyed by request hash "
-                            "(shards the selection LRUs)")
     serve.add_argument("--transport",
                        choices=["inproc", "socket", "asyncio", "http"],
                        default="inproc",
-                       help="inproc: drive the backend in this process; "
+                       help="inproc: drive the backend from this process; "
                             "socket: expose it as a length-prefixed JSON "
                             "socket server on --host/--port; asyncio: same "
                             "wire format through the pipelined asyncio "
@@ -168,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--connect", default=None, metavar="HOST:PORT[,...]",
                        help="serve through remote socket server(s); several "
                             "comma-separated members form a consistent-hash "
-                            "cluster with failover")
+                            "cluster with failover (with --transport "
+                            "socket/asyncio/http: the server fronts them)")
     serve.add_argument("--replicas", type=int, default=2,
                        help="replica-set size per request when --connect "
                             "lists several members (failover breadth)")
@@ -256,17 +250,18 @@ def _cmd_fit(args) -> int:
 
 
 def _build_serve_backend(args) -> tuple:
-    """The ``ExecutionBackend`` the flags describe, plus its banner line.
+    """The ``ExecutionBackend`` the flags describe, plus a description.
 
-    This is the whole topology story of ``serve``: every combination of
-    flags builds *some* backend and the driving loop below is identical
-    for all of them.
+    This is the whole topology story of ``serve``: ``--connect`` builds a
+    client of one remote server or a ring of them, anything else loads
+    the artifact into an engine in this process.  The client loop and
+    every server transport host whatever this returns.
     """
     from repro.serve import (
         AsyncRemoteBackend,
         ClusterRouter,
+        InProcessBackend,
         RemoteBackend,
-        artifact_backend,
     )
 
     if args.connect:
@@ -278,8 +273,7 @@ def _build_serve_backend(args) -> tuple:
         try:
             members = [(address, client(address)) for address in addresses]
             if len(addresses) == 1:
-                return (members[0][1],
-                        f"Backend: {flavor}remote server {addresses[0]}")
+                return members[0][1], f"{flavor}remote server {addresses[0]}"
             cluster = ClusterRouter(
                 members,
                 replication=args.replicas,
@@ -288,22 +282,13 @@ def _build_serve_backend(args) -> tuple:
         except ValueError as error:  # bad address, duplicate, replicas < 1
             raise SystemExit(f"serve: {error}") from error
         return (cluster,
-                f"Backend: cluster of {len(addresses)} {flavor}members "
+                f"cluster of {len(addresses)} {flavor}members "
                 f"(replication={args.replicas}, "
                 f"replica_policy={args.replica_policy}, "
                 f"consistent-hash routing)")
-    backend = artifact_backend(
-        args.artifact,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        routing=args.routing,
-    )
-    if args.workers > 1:
-        return (backend,
-                f"Pool: {args.workers} workers warm-started in "
-                f"{backend.pool.stats.startup_seconds:.2f}s "
-                f"(routing={args.routing})")
-    return backend, "Backend: in-process engine"
+    backend = InProcessBackend.from_artifact(args.artifact,
+                                             cache_size=args.cache_size)
+    return backend, "in-process engine"
 
 
 def _render_serving_stats(stats: dict, results) -> str:
@@ -320,16 +305,6 @@ def _render_serving_stats(stats: dict, results) -> str:
         rate = hits / (hits + misses) if hits + misses else 0.0
         return (f"mean select latency: {mean_ms:.2f} ms   "
                 f"cache: hits={hits} misses={misses} hit_rate={rate:.0%}")
-    if kind == "pool":
-        pool = stats["pool"]
-        per_worker = " ".join(
-            f"w{worker}={count}"
-            for worker, count in sorted(pool["per_worker"].items(),
-                                        key=lambda kv: int(kv[0]))
-        )
-        return (f"aggregate QPS: {stats['qps']:.1f}   "
-                f"cache: hits={pool['hits']} misses={pool['misses']}   "
-                f"per-worker: {per_worker}")
     if kind == "cluster":
         members = " ".join(
             f"{member['name']}={member['served']}"
@@ -344,13 +319,18 @@ def _render_serving_stats(stats: dict, results) -> str:
     return f"aggregate QPS: {stats.get('qps', 0.0):.1f}"
 
 
-def _start_stats_reporter(backend, interval: float):
-    """Periodically print ``backend.stats()`` as one JSON line each.
+def _start_stats_reporter(server, interval: float):
+    """Periodically print the served backend's ``stats()`` as one JSON line
+    each.
 
     Returns a stop callable (``None`` when ``interval`` is off).  The
     snapshots include the backend's ``metrics`` section — counters and
     latency histograms from :mod:`repro.obs` — so a long-running server
-    leaves a scrapeable trail on stdout without any client asking.
+    leaves a scrapeable trail on stdout without any client asking.  Each
+    snapshot is a ``stats`` op through the server's dispatcher, so it
+    waits behind requests in flight: a hosted sync ``RemoteBackend`` has
+    one socket, and a ``stats`` call racing a select on it would cross
+    their replies.
     """
     import json
     import threading
@@ -361,7 +341,9 @@ def _start_stats_reporter(backend, interval: float):
 
     def report() -> None:
         while not stop.wait(interval):
-            print(json.dumps(backend.stats(), sort_keys=True), flush=True)
+            reply = server.handle_message({"op": "stats"})
+            print(json.dumps(reply.get("stats", reply), sort_keys=True),
+                  flush=True)
 
     thread = threading.Thread(target=report, name="stats-reporter",
                               daemon=True)
@@ -370,8 +352,9 @@ def _start_stats_reporter(backend, interval: float):
 
 
 def _serve_socket(args) -> int:
-    """Expose the locally built backend on a TCP address (server mode)."""
-    from repro.serve import AsyncSocketServer, SocketServer, artifact_backend
+    """Expose the backend the flags describe on a TCP address (server
+    mode): an engine in this process, or the ``--connect`` members."""
+    from repro.serve import AsyncSocketServer, SocketServer
 
     registry = None
     if args.transport == "http" and args.tenants is not None:
@@ -383,12 +366,7 @@ def _serve_socket(args) -> int:
             registry = TenantRegistry.from_file(args.tenants)
         except TenantConfigError as error:
             raise SystemExit(f"serve: {error}")
-    backend = artifact_backend(
-        args.artifact,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        routing=args.routing,
-    )
+    backend, description = _build_serve_backend(args)
     if args.transport == "http":
         from repro.gateway import HttpGateway
 
@@ -405,9 +383,9 @@ def _serve_socket(args) -> int:
     tenancy = ("" if registry is None
                else f", tenants={len(registry)}")
     print(f"serving {args.artifact} on {host}:{port} "
-          f"(transport={args.transport}, workers={args.workers}, "
-          f"routing={args.routing}{tenancy}); Ctrl-C to stop", flush=True)
-    stop_reporter = _start_stats_reporter(backend, args.stats_interval)
+          f"(transport={args.transport}{tenancy}); backend: {description}; "
+          f"Ctrl-C to stop", flush=True)
+    stop_reporter = _start_stats_reporter(server, args.stats_interval)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -425,9 +403,6 @@ def _cmd_serve(args) -> int:
     from repro.queries.generator import SessionGenerator
     from repro.serve import BackendError, InProcessBackend
 
-    if args.connect and args.transport != "inproc":
-        raise SystemExit("serve: --connect is a client mode; it cannot be "
-                         f"combined with --transport {args.transport}")
     if args.tenants and args.transport != "http":
         raise SystemExit("serve: --tenants configures the HTTP gateway; "
                          "it requires --transport http")
@@ -438,7 +413,7 @@ def _cmd_serve(args) -> int:
         return _serve_socket(args)
 
     # One code path for every topology: build a backend, drive it.
-    backend, banner = _build_serve_backend(args)
+    backend, description = _build_serve_backend(args)
     if isinstance(backend, InProcessBackend):
         # The backend already loaded the artifact — reuse its state for
         # session generation instead of reading the directory twice.
@@ -447,7 +422,7 @@ def _cmd_serve(args) -> int:
         artifact = load_artifact(args.artifact)
         binned, algorithm = artifact.binned, artifact.algorithm
     print(f"Artifact: {args.artifact} (algorithm={algorithm})")
-    print(banner)
+    print(f"Backend: {description}")
     sessions = SessionGenerator(binned, seed=args.seed).generate(
         args.sessions
     )

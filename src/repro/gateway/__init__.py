@@ -2,8 +2,8 @@
 
 Every other serving topology speaks the custom length-prefixed socket
 framing; this package puts an HTTP/1.1 face on **any**
-:class:`~repro.serve.backend.ExecutionBackend` (engine, pool, cluster —
-topologies nest unchanged behind it):
+:class:`~repro.serve.backend.ExecutionBackend` (engine, workspace,
+cluster — topologies nest unchanged behind it):
 
 * :mod:`repro.gateway.http` — a dependency-free asyncio HTTP/1.1 server
   (parsing with hard caps, keep-alive, chunked streaming);

@@ -657,3 +657,8 @@ class HttpGateway:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def handle_message(self, message) -> dict:
+        """One transport message through the gateway's dispatcher, as the
+        socket servers' ``handle_message`` takes it."""
+        return self.app.dispatcher.handle_message(message)

@@ -11,7 +11,7 @@ those run.
   ``"metrics"`` key.
 * :func:`next_trace_id` + the ``"trace"`` frame field — per-request
   stage timings (client queue → transport → dispatcher → engine select)
-  that survive socket, asyncio, pool, and cluster hops.
+  that survive socket, asyncio, HTTP, and cluster hops.
 """
 
 from repro.obs.metrics import (

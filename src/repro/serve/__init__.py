@@ -3,40 +3,31 @@
 Public surface::
 
     from repro.serve import (
-        ExecutionBackend, InProcessBackend, PoolBackend,   # local backends
+        ExecutionBackend, InProcessBackend,                 # local backend
         RemoteBackend, SocketServer, spawn_artifact_server, # socket transport
         AsyncRemoteBackend, AsyncSocketServer,             # pipelined asyncio
         ClusterRouter, ReplicaPolicy,                      # consistent-hash ring
-        EnginePool, PoolStats,                             # process pool
         BackendError, RequestError, TransportError,        # error taxonomy
-        PoolError, PoolRequestError, PoolWorkerDied, ClusterError,
-        PipelineCancelled,
-        artifact_backend,
+        ClusterError, PipelineCancelled,
     )
 
 Every serving path implements the same four-method
 :class:`~repro.serve.backend.ExecutionBackend` protocol (``select``,
 ``select_many``, ``stats``, ``close``), so topologies compose: an
 :class:`InProcessBackend` wraps one engine or workspace, a
-:class:`PoolBackend` wraps an :class:`EnginePool` of warm-start worker
-processes, a :class:`RemoteBackend` speaks the length-prefixed JSON socket
-protocol of :class:`SocketServer` across a host boundary, and a
+:class:`RemoteBackend` speaks the length-prefixed JSON socket protocol of
+:class:`SocketServer` across a process or host boundary, and a
 :class:`ClusterRouter` consistent-hashes ``(dataset, request-hash)`` over
 member backends with per-dataset replication and failover — and is itself
-a backend, so clusters nest (a cluster of pools of engines).
+a backend, so clusters nest, and a server can front a ring (several
+processes on one host are a ring of spawned members).
 
 The cache primitives re-exported here live in :mod:`repro.api.cache`.
 """
 
 from repro.api.cache import CacheStats, LRUCache, query_fingerprint
 from repro.serve.aio import AsyncRemoteBackend, AsyncSocketServer
-from repro.serve.backend import (
-    BaseBackend,
-    ExecutionBackend,
-    InProcessBackend,
-    PoolBackend,
-    artifact_backend,
-)
+from repro.serve.backend import BaseBackend, ExecutionBackend, InProcessBackend
 from repro.serve.cluster import (
     ClusterRouter,
     ReplicaPolicy,
@@ -48,15 +39,11 @@ from repro.serve.errors import (
     BackendError,
     ClusterError,
     PipelineCancelled,
-    PoolError,
-    PoolRequestError,
-    PoolWorkerDied,
     RemoteRequestError,
     RemoteServerError,
     RequestError,
     TransportError,
 )
-from repro.serve.pool import EnginePool, PoolStats
 from repro.serve.transport import (
     RemoteBackend,
     SocketServer,
@@ -75,16 +62,10 @@ __all__ = [
     "CacheStats",
     "ClusterError",
     "ClusterRouter",
-    "EnginePool",
     "ExecutionBackend",
     "InProcessBackend",
     "LRUCache",
     "PipelineCancelled",
-    "PoolBackend",
-    "PoolError",
-    "PoolRequestError",
-    "PoolStats",
-    "PoolWorkerDied",
     "RemoteBackend",
     "RemoteRequestError",
     "RemoteServerError",
@@ -93,7 +74,6 @@ __all__ = [
     "SocketServer",
     "SpawnedServer",
     "TransportError",
-    "artifact_backend",
     "make_replica_policy",
     "query_fingerprint",
     "recv_frame",

@@ -115,7 +115,7 @@ class AsyncSocketServer:
     Parameters
     ----------
     backend:
-        Any execution backend (engine, pool, even a whole cluster).
+        Any execution backend (engine, workspace, even a whole cluster).
     host, port:
         Bind address (``port=0``: ephemeral).
     own_backend:
@@ -210,6 +210,10 @@ class AsyncSocketServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    # -- protocol ------------------------------------------------------------
+    def handle_message(self, message) -> dict:
+        return self._dispatcher.handle_message(message)
 
     # -- event loop ----------------------------------------------------------
     def _run_loop(self) -> None:

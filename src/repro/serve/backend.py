@@ -1,10 +1,7 @@
 """One ExecutionBackend protocol over every serving path.
 
-Before this module there were three divergent ways to serve a
-:class:`~repro.api.SelectionRequest` — ``Workspace.select`` in process,
-``EnginePool.select_many`` with its own routing and error handling, and the
-CLI's pooled-vs-single fork.  They are now implementations of a single
-four-method protocol:
+Every way of serving a :class:`~repro.api.SelectionRequest` implements a
+single four-method protocol:
 
 * :meth:`ExecutionBackend.select` — serve one request;
 * :meth:`ExecutionBackend.select_many` — serve a batch in request order,
@@ -16,13 +13,13 @@ four-method protocol:
 * :meth:`ExecutionBackend.close` — release processes/sockets/engines.
 
 Implementations: :class:`InProcessBackend` (an :class:`~repro.api.Engine`
-or :class:`~repro.api.Workspace` in this process), :class:`PoolBackend`
-(an :class:`~repro.serve.EnginePool` of warm-start worker processes),
-:class:`~repro.serve.transport.RemoteBackend` (a length-prefixed JSON
-socket to another host), and :class:`~repro.serve.cluster.ClusterRouter`
-(a consistent-hash ring of member backends).  Because the router is itself
-a backend, topologies nest: a cluster of pools of engines, a cluster of
-remote clusters, ...
+or :class:`~repro.api.Workspace` in this process),
+:class:`~repro.serve.transport.RemoteBackend` and
+:class:`~repro.serve.aio.AsyncRemoteBackend` (a length-prefixed JSON
+socket to another process or host), and
+:class:`~repro.serve.cluster.ClusterRouter` (a consistent-hash ring of
+member backends).  Because the router is itself a backend, topologies
+nest: a cluster of remote clusters, a server fronting a ring, ...
 
 Error contract (see :mod:`repro.serve.errors`): per-request failures are
 :class:`~repro.serve.errors.RequestError`-like and identical on every
@@ -43,7 +40,6 @@ from repro.api.store import StoreError
 from repro.api.workspace import Workspace
 from repro.obs import MetricsRegistry
 from repro.serve.errors import BackendError
-from repro.serve.pool import EnginePool
 
 
 @runtime_checkable
@@ -269,90 +265,3 @@ class InProcessBackend(BaseBackend):
         if isinstance(self.host, Workspace):
             self.host.evict()
         super().close()
-
-
-class PoolBackend(BaseBackend):
-    """An :class:`EnginePool` of warm-start worker processes, conformed to
-    the backend protocol.  Constructing the backend starts the pool (every
-    worker ``Engine.load``-s the artifact); adopt an already-built pool via
-    ``pool=``."""
-
-    kind = "pool"
-
-    def __init__(
-        self,
-        artifact: "str | Path | None" = None,
-        workers: int = 2,
-        cache_size: int = 256,
-        algorithm: Optional[str] = None,
-        selector_options: Optional[dict] = None,
-        routing: str = "shared",
-        start_method: Optional[str] = None,
-        pool: Optional[EnginePool] = None,
-    ):
-        super().__init__()
-        if pool is None:
-            if artifact is None:
-                raise ValueError("PoolBackend needs an artifact (or a pool)")
-            pool = EnginePool(
-                artifact,
-                workers=workers,
-                cache_size=cache_size,
-                algorithm=algorithm,
-                selector_options=selector_options,
-                routing=routing,
-                start_method=start_method,
-            )
-        self.pool = pool.start()
-
-    def select_many(
-        self,
-        requests: Sequence[SelectionRequest],
-        raise_on_error: bool = True,
-    ) -> list:
-        self._require_open()
-        start = time.perf_counter()
-        entries = self.pool.select_many(requests, raise_on_error=False)
-        self._account(entries, time.perf_counter() - start)
-        return self._finish(entries, raise_on_error)
-
-    def stats(self) -> dict:
-        payload = super().stats()
-        payload["pool"] = self.pool.stats.to_json()
-        return payload
-
-    def close(self) -> None:
-        self.pool.close()
-        super().close()
-
-
-def artifact_backend(
-    artifact: "str | Path",
-    workers: int = 1,
-    cache_size: int = 256,
-    routing: str = "shared",
-    algorithm: Optional[str] = None,
-    selector_options: Optional[dict] = None,
-) -> "InProcessBackend | PoolBackend":
-    """The standard local backend over one saved artifact.
-
-    ``workers=1`` loads the engine in this process; ``workers>1`` starts an
-    :class:`EnginePool`.  This is the single builder the CLI's ``serve``
-    command and the socket server's subprocess helper share, so every
-    entry point grows new backends in one place.
-    """
-    if workers > 1:
-        return PoolBackend(
-            artifact,
-            workers=workers,
-            cache_size=cache_size,
-            algorithm=algorithm,
-            selector_options=selector_options,
-            routing=routing,
-        )
-    return InProcessBackend.from_artifact(
-        artifact,
-        cache_size=cache_size,
-        algorithm=algorithm,
-        selector_options=selector_options,
-    )

@@ -2,7 +2,7 @@
 
 The multi-host leg of the serving stack.  A :class:`ClusterRouter` owns N
 member :class:`~repro.serve.backend.ExecutionBackend`\\ s — remote socket
-servers, local pools, bare engines, or nested clusters — and routes every
+servers, bare engines, or nested clusters — and routes every
 request by a **consistent-hash ring** keyed on ``(dataset,
 request-hash)``:
 
@@ -26,14 +26,15 @@ request-hash)``:
   currently in flight (routes around slow members before they fail) —
   driven by the per-member traffic counters the router keeps anyway;
 * whichever replica the policy picks first, a member that raises a
-  :class:`~repro.serve.errors.BackendError` (dead socket, dead pool
-  worker, exhausted nested cluster) is marked suspect and the request
+  :class:`~repro.serve.errors.BackendError` (dead socket, closed
+  backend, exhausted nested cluster) is marked suspect and the request
   **fails over** to the next replica in the policy's order.
   Request-level errors (unknown target, degenerate query) never fail
   over — they would fail identically everywhere.
 
 The router is itself an :class:`ExecutionBackend`, so topologies nest: a
-cluster of pools, a cluster whose members are remote clusters, ...
+cluster whose members are remote clusters, a socket server fronting a
+ring of local member processes (``serve --connect``), ...
 ``select_many`` drains each member's share concurrently (one thread per
 member group), which is where multi-host aggregate QPS comes from.
 """
@@ -158,7 +159,7 @@ class HashPolicy(ReplicaPolicy):
     ``round_robin`` spreads load but duplicates every cache entry across
     the replica set — each replica takes cold misses for the whole key
     space, which is why it *loses* to ``primary`` on cache-bound
-    workloads (209 vs 409 QPS in ``BENCH_async_qps.json``).  Hashing
+    workloads (182.5 vs 302.2 QPS in ``BENCH_async_qps.json``).  Hashing
     *within* the replica set keeps the spread while sharding the key
     space: the same request always reads from the same replica (warm
     LRU), different requests split ~evenly across replicas (the ring

@@ -4,24 +4,20 @@ Every serving failure is one of two kinds, and the distinction is what the
 :class:`~repro.serve.cluster.ClusterRouter`'s failover policy keys on:
 
 * :class:`BackendError` — the *backend* (or one cluster member) is unusable:
-  a pool whose worker died, a socket that refused or dropped the
-  connection, a server that reported an internal fault.  Retrying the same
-  request on a **replica** can succeed, so the cluster router fails over.
+  a closed backend, a socket that refused or dropped the connection, a
+  server that reported an internal fault.  Retrying the same request on a
+  **replica** can succeed, so the cluster router fails over.
 * :class:`RequestError` — the *request* itself failed (unknown target
   column, degenerate query state, ...).  It would fail identically on every
   replica, so it is surfaced to the caller immediately and never retried.
 
 The concrete subclasses live here — one flat module with no serving
-imports — so :mod:`repro.serve.pool`, :mod:`repro.serve.backend`,
-:mod:`repro.serve.transport`, and :mod:`repro.serve.cluster` can all share
-the taxonomy without import cycles.  ``PoolError`` and ``PoolRequestError``
-keep their historical names (and re-exports from :mod:`repro.serve.pool`)
-but are re-layered onto the shared bases.
+imports — so :mod:`repro.serve.backend`, :mod:`repro.serve.transport`,
+:mod:`repro.serve.aio`, and :mod:`repro.serve.cluster` can all share the
+taxonomy without import cycles.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 
 class BackendError(RuntimeError):
@@ -30,53 +26,6 @@ class BackendError(RuntimeError):
 
 class RequestError(RuntimeError):
     """A request failed on its own terms; every replica would refuse it."""
-
-
-# ---------------------------------------------------------------------------
-# Pool
-# ---------------------------------------------------------------------------
-
-class PoolError(BackendError):
-    """The pool is unusable (failed start, closed, or a worker died)."""
-
-
-class PoolWorkerDied(PoolError):
-    """A pool worker process died while serving.
-
-    Carries the worker id, the process exit code, and — when the worker
-    could report it before exiting — the worker-side traceback.  A hard
-    kill (SIGKILL, OOM) leaves no traceback; the exit code is then the
-    only evidence.
-    """
-
-    def __init__(
-        self,
-        worker: int,
-        exitcode: Optional[int] = None,
-        traceback: Optional[str] = None,
-    ):
-        detail = (f"\n--- worker {worker} traceback ---\n{traceback.rstrip()}"
-                  if traceback else
-                  " (no traceback: the process died without reporting)")
-        super().__init__(
-            f"pool worker {worker} died (exit code {exitcode})"
-            f"{detail}"
-        )
-        self.worker = worker
-        self.exitcode = exitcode
-        self.traceback = traceback
-
-
-class PoolRequestError(RequestError):
-    """A request failed inside a pool worker; carries the worker-side text."""
-
-    def __init__(self, index: int, worker: int, message: str) -> None:
-        super().__init__(
-            f"request #{index} failed in pool worker {worker}: {message}"
-        )
-        self.index = index
-        self.worker = worker
-        self.worker_message = message
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 This is the host-boundary leg of the serving stack: a
 :class:`SocketServer` exposes any :class:`~repro.serve.backend
 .ExecutionBackend` on a TCP address, and a :class:`RemoteBackend` is the
-client-side backend that speaks to it — so a remote engine, pool, or even a
-whole cluster plugs into every topology exactly like a local one.
+client-side backend that speaks to it — so a remote engine, or even a
+whole cluster, plugs into every topology exactly like a local one.
 
 Framing
 -------
@@ -13,9 +13,8 @@ by that many bytes of UTF-8 JSON.  Oversized frames (>256 MiB) and
 mid-frame EOFs raise :class:`~repro.serve.errors.TransportError`; a clean
 EOF between frames ends the conversation.  The JSON payloads reuse
 :mod:`repro.api.wire` verbatim — requests and responses cross the socket
-in exactly the wire form the :class:`~repro.serve.EnginePool` workers
-already exchange, so socket-served responses are bit-identical to
-in-process ones.
+in exactly the wire form every other transport (asyncio, HTTP) speaks,
+so socket-served responses are bit-identical to in-process ones.
 
 A message may carry an ``"id"`` field; the server echoes it verbatim into
 the reply.  Clients that serialize request/response per connection (the
@@ -176,9 +175,12 @@ class BackendDispatcher:
     :class:`~repro.serve.aio.AsyncSocketServer` hand every decoded frame
     to one of these, so the op set, the error taxonomy, and the
     request-id echo cannot drift between transports.  Backend calls are
-    serialized under one lock: a hosted :class:`~repro.serve.EnginePool`'s
-    drain loop is single-caller, and cross-member parallelism in a cluster
-    comes from running many server *processes*, not many threads in one.
+    serialized under one lock: a hosted sync :class:`RemoteBackend` (alone
+    or as a ring member) shares one socket across callers, and the
+    ``greedy``, ``semigreedy`` and ``mab`` selectors still draw from a
+    generator kept on the selector.  Cross-member parallelism in a
+    cluster comes from running many server *processes*, not many threads
+    in one.
     """
 
     def __init__(self, backend) -> None:
@@ -251,8 +253,8 @@ class BackendDispatcher:
                 return {"ok": False, "kind": "request",
                         "error": f"{type(error).__name__}: {error}"}
             if stages is not None:
-                # ``backend`` is the full dispatch hop (queueing through a
-                # hosted pool/cluster included); ``select`` is the engine's
+                # ``backend`` is the full dispatch hop (routing through a
+                # hosted cluster included); ``select`` is the engine's
                 # own selection wall — the gap between them is routing cost.
                 stages.append(make_stage("backend", backend_seconds))
                 stages.append(make_stage(
@@ -343,14 +345,16 @@ class SocketServer:
 
     ``port=0`` binds an ephemeral port; read the bound address from
     :attr:`address`.  Connections are handled in threads, but backend
-    calls are serialized under one lock — a hosted :class:`EnginePool`'s
-    drain loop is single-caller, and cross-member parallelism in a cluster
-    comes from running many server *processes*, not many threads in one.
+    calls are serialized under the :class:`BackendDispatcher`'s lock (a
+    hosted sync :class:`RemoteBackend` shares one socket, and three
+    selectors still keep a generator on ``self``); cross-member
+    parallelism in a cluster comes from running many server *processes*,
+    not many threads in one.
 
     Parameters
     ----------
     backend:
-        Any execution backend (engine, pool, even a whole cluster).
+        Any execution backend (engine, workspace, even a whole cluster).
     host, port:
         Bind address (``port=0``: ephemeral).
     own_backend:
@@ -650,15 +654,14 @@ def _build_server(backend, host, port, transport, tenants=None,
 def _build_backend(source: tuple) -> BaseBackend:
     """The backend a spawned server hosts, from its picklable description:
     ``("artifact", path, options)`` or ``("store", path, options)``."""
+    from repro.serve.backend import InProcessBackend
+
     kind, path, options = source
     if kind == "store":
         from repro.api.store import ArtifactStore
-        from repro.serve.backend import InProcessBackend
 
         return InProcessBackend.from_store(ArtifactStore(path), **options)
-    from repro.serve.backend import artifact_backend
-
-    return artifact_backend(path, **options)
+    return InProcessBackend.from_artifact(path, **options)
 
 
 def _server_process_main(
@@ -740,9 +743,7 @@ class SpawnedServer:
 
 def spawn_artifact_server(
     artifact: "str | Path",
-    workers: int = 1,
     cache_size: int = 256,
-    routing: str = "shared",
     algorithm: Optional[str] = None,
     host: str = DEFAULT_HOST,
     port: int = 0,
@@ -753,8 +754,7 @@ def spawn_artifact_server(
 ) -> SpawnedServer:
     """Start a socket server over ``artifact`` in a child process.
 
-    The child warm-starts its backend (``workers=1``: one engine;
-    ``workers>1``: an :class:`EnginePool`) via ``Engine.load`` — the
+    The child warm-starts one engine via ``Engine.load`` — the
     paper's phase split is what makes spawning a member this cheap — binds
     ``host:port`` (``port=0``: ephemeral), and reports the bound address
     back before serving.  ``transport`` picks the threaded
@@ -770,13 +770,8 @@ def spawn_artifact_server(
     """
     return _spawn_server(
         f"server over {artifact}",
-        ("artifact", str(artifact), dict(
-            workers=workers, cache_size=cache_size, routing=routing,
-            algorithm=algorithm,
-        )),
-        # A pooled member must be able to fork its own workers, which
-        # daemonic processes may not.
-        daemon=(workers == 1),
+        ("artifact", str(artifact),
+         dict(cache_size=cache_size, algorithm=algorithm)),
         host=host, port=port, startup_timeout=startup_timeout,
         transport=transport, tenants=tenants,
         http_cache_size=http_cache_size,
@@ -809,14 +804,14 @@ def spawn_store_server(
     return _spawn_server(
         f"store server over {store}",
         ("store", str(store), dict(capacity=capacity, cache_size=cache_size)),
-        daemon=True, host=host, port=port, startup_timeout=startup_timeout,
+        host=host, port=port, startup_timeout=startup_timeout,
         transport=transport, tenants=tenants,
         http_cache_size=http_cache_size,
     )
 
 
 def _spawn_server(
-    label: str, source: tuple, *, daemon: bool, host: str, port: int,
+    label: str, source: tuple, *, host: str, port: int,
     startup_timeout: float, transport: str,
     tenants: "Optional[str | Path]", http_cache_size: int,
 ) -> SpawnedServer:
@@ -831,7 +826,7 @@ def _spawn_server(
         target=_server_process_main,
         args=(child_conn, source, host, port, transport,
               None if tenants is None else str(tenants), http_cache_size),
-        daemon=daemon,
+        daemon=True,
     )
     process.start()
     child_conn.close()

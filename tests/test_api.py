@@ -31,6 +31,7 @@ from repro.api import (
 from repro.baselines import NaiveClusteringSelector, SubTabSelector
 from repro.core import SubTab, SubTabConfig
 from repro.core.fairness import GroupRepresentation
+from repro.datasets import make_dataset
 from repro.embedding.word2vec import Word2VecConfig
 from repro.queries import Eq, SPQuery
 
@@ -44,6 +45,11 @@ FAST_OPTIONS = {
     "embdi": dict(walks_per_node=1, walk_length=6,
                   word2vec=Word2VecConfig(epochs=1, dim=8)),
 }
+
+#: Selectors registered for per-display use; each must answer a repeated
+#: request the same way, whatever the engine served before.
+INTERACTIVE = [name for name in selector_names()
+               if selector_spec(name).interactive]
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +226,19 @@ class TestEngineServing:
         served = subtab_engine.select(k=3, l=2, query=query).subtable
         assert served.row_indices == cold.row_indices
         assert served.columns == cold.columns
+
+    @pytest.mark.parametrize("name", INTERACTIVE)
+    def test_interactive_selector_repeats_its_answer(self, name, fast_config):
+        # RAN's budget is large enough that its 60-draw cap, not the
+        # clock, ends the loop.
+        options = ({"time_budget": 3600.0} if name == "ran"
+                   else FAST_OPTIONS.get(name))
+        engine = Engine(name, fast_config, selector_options=options)
+        engine.fit(make_dataset("cyber", n_rows=300, seed=0).frame)
+        request = SelectionRequest(k=5, l=4, use_cache=False)
+        first, second = engine.select(request), engine.select(request)
+        assert second.subtable.row_indices == first.subtable.row_indices
+        assert second.subtable.columns == first.subtable.columns
 
     def test_request_and_kwargs_are_exclusive(self, subtab_engine):
         with pytest.raises(TypeError):

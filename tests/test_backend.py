@@ -1,7 +1,7 @@
 """Tests for the ExecutionBackend protocol and its local implementations.
 
 The protocol is the tentpole of the serving re-layering: every serving
-path (in-process engine/workspace, process pool, socket, cluster) exposes
+path (in-process engine/workspace, socket, cluster) exposes
 the same four methods, so these tests pin the contract — entry order,
 error entries, the shared stats envelope, close semantics — that every
 implementation must satisfy.
@@ -9,14 +9,8 @@ implementation must satisfy.
 
 import pytest
 
-from repro.api import Engine, SelectionRequest, SelectionResponse, Workspace
-from repro.serve import (
-    BackendError,
-    ExecutionBackend,
-    InProcessBackend,
-    PoolBackend,
-    artifact_backend,
-)
+from repro.api import SelectionRequest, SelectionResponse
+from repro.serve import BackendError, ExecutionBackend, InProcessBackend
 
 CORE_STATS_KEYS = ("backend", "served", "errors", "seconds", "qps")
 
@@ -34,8 +28,7 @@ class TestProtocol:
     def test_local_backends_satisfy_the_protocol(self, fitted_engine):
         assert isinstance(InProcessBackend(fitted_engine), ExecutionBackend)
 
-    def test_pool_and_cluster_satisfy_the_protocol(self, subtab_artifact,
-                                                   fitted_engine):
+    def test_cluster_and_remote_satisfy_the_protocol(self, fitted_engine):
         from repro.serve import ClusterRouter, RemoteBackend
 
         assert isinstance(
@@ -43,8 +36,6 @@ class TestProtocol:
             ExecutionBackend,
         )
         assert isinstance(RemoteBackend("127.0.0.1:1"), ExecutionBackend)
-        with PoolBackend(subtab_artifact, workers=1) as pool:
-            assert isinstance(pool, ExecutionBackend)
 
     def test_rejects_non_serving_host(self):
         with pytest.raises(TypeError, match="Engine or Workspace"):
@@ -113,64 +104,3 @@ class TestInProcessBackend:
         backend.close()
         with pytest.raises(BackendError, match="closed"):
             backend.select_many([SelectionRequest(k=3, l=3)])
-
-
-class TestPoolBackend:
-    def test_serves_and_reports_pool_stats(self, subtab_artifact, requests):
-        with PoolBackend(subtab_artifact, workers=2, routing="hash") as backend:
-            responses = backend.select_many(requests)
-            assert all(isinstance(r, SelectionResponse) for r in responses)
-            stats = backend.stats()
-        for key in CORE_STATS_KEYS:
-            assert key in stats
-        assert stats["backend"] == "pool"
-        assert stats["served"] == len(requests)
-        assert stats["pool"]["type"] == "pool"
-        assert stats["pool"]["workers"] == 2
-        assert sum(stats["pool"]["per_worker"].values()) == len(requests)
-
-    def test_request_errors_are_entries(self, subtab_artifact):
-        from repro.serve import PoolRequestError
-
-        bad = SelectionRequest(k=3, l=3, targets=("NOPE",))
-        with PoolBackend(subtab_artifact, workers=1) as backend:
-            entries = backend.select_many(
-                [SelectionRequest(k=3, l=3), bad], raise_on_error=False
-            )
-            assert isinstance(entries[0], SelectionResponse)
-            assert isinstance(entries[1], PoolRequestError)
-            with pytest.raises(PoolRequestError, match="NOPE"):
-                backend.select_many([bad])
-
-    def test_needs_artifact_or_pool(self):
-        with pytest.raises(ValueError, match="artifact"):
-            PoolBackend()
-
-    def test_adopts_prebuilt_pool(self, subtab_artifact):
-        from repro.serve import EnginePool
-
-        pool = EnginePool(subtab_artifact, workers=1)
-        with PoolBackend(pool=pool) as backend:
-            assert backend.select(SelectionRequest(k=3, l=3)).shape == (3, 3)
-
-
-class TestArtifactBackendFactory:
-    def test_workers_pick_the_implementation(self, subtab_artifact):
-        single = artifact_backend(subtab_artifact)
-        assert isinstance(single, InProcessBackend)
-        assert isinstance(single.host, Engine)
-        pooled = artifact_backend(subtab_artifact, workers=2)
-        assert isinstance(pooled, PoolBackend)
-        pooled.close()
-
-    def test_built_backends_agree(self, subtab_artifact):
-        request = SelectionRequest(k=4, l=4)
-        single = artifact_backend(subtab_artifact)
-        pooled = artifact_backend(subtab_artifact, workers=2)
-        try:
-            a = single.select(request)
-            b = pooled.select(request)
-            assert a.subtable.row_indices == b.subtable.row_indices
-            assert a.subtable.columns == b.subtable.columns
-        finally:
-            pooled.close()

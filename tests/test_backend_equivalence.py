@@ -2,12 +2,13 @@
 
 The re-layering's central promise: routing adds no transformation.  The
 same request stream replayed through an ``InProcessBackend``, a
-``PoolBackend`` (worker processes), a ``RemoteBackend`` (socket to a
-subprocess server), and a 2-member ``ClusterRouter`` produces
+``RemoteBackend`` (socket to a subprocess server), a 2-member
+``ClusterRouter`` and a ring nested inside a ring produces
 **bit-identical** responses (wire form minus timing/cache metadata, which
 legitimately differ per path).  Holds for any selector whose ``select`` is
 a pure function of the request — subtab is; order-sensitive baselines
-(e.g. nc's shared RNG) are excluded by construction, as in the pool tests.
+(those that still keep a generator on the selector) are excluded by
+construction.
 
 The asyncio transport extends the matrix without changing the wire
 format, so the full client x server grid must agree: sync client →
@@ -34,7 +35,6 @@ from repro.serve import (
     ClusterRouter,
     InProcessBackend,
     PipelineCancelled,
-    PoolBackend,
     RemoteBackend,
     SocketServer,
     spawn_artifact_server,
@@ -77,10 +77,6 @@ def expected(subtab_artifact, stream):
 
 
 class TestEquivalence:
-    def test_pool_backend_matches(self, subtab_artifact, stream, expected):
-        with PoolBackend(subtab_artifact, workers=2, routing="hash") as pool:
-            assert _contents(pool.select_many(stream)) == expected
-
     def test_remote_backend_matches(self, subtab_artifact, stream, expected):
         with spawn_artifact_server(subtab_artifact) as server:
             remote = server.connect()
@@ -98,16 +94,17 @@ class TestEquivalence:
             spread = {m["name"]: m["served"] for m in cluster.stats()["members"]}
         assert all(count > 0 for count in spread.values()), spread
 
-    def test_nested_cluster_of_socket_and_pool_matches(
+    def test_nested_cluster_of_socket_and_cluster_matches(
         self, subtab_artifact, stream, expected
     ):
         # The topology-nesting claim, end to end: a cluster whose members
-        # are a remote socket server and a local process pool.
+        # are a remote socket server and a ring of its own.
         with spawn_artifact_server(subtab_artifact) as server:
-            members = [
-                ("socket", server.connect()),
-                ("pool", PoolBackend(subtab_artifact, workers=2)),
-            ]
+            inner = ClusterRouter([
+                ("a", InProcessBackend.from_artifact(subtab_artifact)),
+                ("b", InProcessBackend.from_artifact(subtab_artifact)),
+            ])
+            members = [("socket", server.connect()), ("ring", inner)]
             with ClusterRouter(members, replication=2) as cluster:
                 assert _contents(cluster.select_many(stream)) == expected
 

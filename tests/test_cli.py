@@ -182,37 +182,117 @@ class TestFitServeRoundTrip:
         assert small_hits + small_misses == big_hits + big_misses
         assert small_hits < big_hits
 
-    def test_serve_pooled(self, artifact, capsys):
-        code = main([
-            "serve", "--artifact", str(artifact), "--sessions", "2",
-            "--workers", "2", "--routing", "hash",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Pool: 2 workers warm-started" in out
-        assert "aggregate QPS:" in out
-        assert "per-worker:" in out
 
-    def test_serve_pooled_matches_in_process_counts(self, artifact, capsys):
-        main(["serve", "--artifact", str(artifact), "--sessions", "2"])
-        single = capsys.readouterr().out
-        main(["serve", "--artifact", str(artifact), "--sessions", "2",
-              "--workers", "2"])
-        pooled = capsys.readouterr().out
-        served = [line for line in single.splitlines() if "Served" in line]
-        assert served and served == [
-            line for line in pooled.splitlines() if "Served" in line
-        ]
+def _serve_in_background(*flags, stdout):
+    """``python -m repro serve <flags>`` as a child process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "repro", "serve", *flags],
+                            stdout=stdout, text=True, env=env)
 
 
 class TestServeTransports:
     """The one-code-path claim: every topology flag combination builds an
     ExecutionBackend and drives it through the same loop."""
 
-    def test_connect_rejects_server_mode(self, subtab_artifact):
-        with pytest.raises(SystemExit, match="client mode"):
-            main(["serve", "--artifact", str(subtab_artifact),
-                  "--connect", "127.0.0.1:1", "--transport", "socket"])
+    def test_socket_server_fronts_a_ring(self, subtab_artifact):
+        # Several processes on one host: two spawned members, and a
+        # socket server started with --connect in front of them.
+        import re
+        import subprocess
+
+        from repro.api import Engine, SelectionRequest, SelectionResponse
+        from repro.queries.generator import SessionGenerator
+        from repro.serve import RemoteBackend, spawn_artifact_server
+
+        engine = Engine.load(subtab_artifact)
+        sessions = SessionGenerator(engine.binned, seed=0).generate(3)
+        requests = [SelectionRequest(query=step.state)
+                    for session in sessions for step in session]
+        with spawn_artifact_server(subtab_artifact) as one, \
+                spawn_artifact_server(subtab_artifact) as two:
+            server = _serve_in_background(
+                "--artifact", str(subtab_artifact), "--transport", "socket",
+                "--port", "0", "--connect", f"{one.address},{two.address}",
+                "--replicas", "1", stdout=subprocess.PIPE,
+            )
+            try:
+                banner = server.stdout.readline()
+                match = re.search(r"serving .* on (\S+:\d+)", banner)
+                assert match, banner
+                assert "backend: cluster of 2 members" in banner
+                with RemoteBackend(match.group(1)) as front:
+                    served = front.select_many(requests,
+                                               raise_on_error=False)
+                per_member = []
+                for member in (one, two):
+                    with member.connect() as remote:
+                        per_member.append(remote.stats()["server"]["served"])
+            finally:
+                server.terminate()
+                server.wait(timeout=10)
+        assert all(count > 0 for count in per_member), per_member
+
+        def content(response) -> dict:
+            payload = response.to_wire()
+            for volatile in ("timings", "select_seconds", "cache_hit"):
+                payload.pop(volatile)
+            return payload
+
+        compared = 0
+        for request, response in zip(requests, served):
+            try:
+                expected = engine.select(request)
+            except ValueError:
+                assert not isinstance(response, SelectionResponse)
+                continue
+            assert content(response) == content(expected)
+            compared += 1
+        assert compared > 0
+
+    def test_stats_reporter_waits_for_requests_in_flight(self, subtab_artifact,
+                                                         tmp_path):
+        # A front over one sync member has one socket to it; the
+        # --stats-interval reporter must not cut into a request on it.
+        import re
+        import time
+
+        from repro.api import SelectionRequest
+        from repro.serve import RemoteBackend, spawn_artifact_server
+
+        log = tmp_path / "front.log"
+        with spawn_artifact_server(subtab_artifact) as member, \
+                open(log, "w") as out:
+            server = _serve_in_background(
+                "--artifact", str(subtab_artifact), "--transport", "socket",
+                "--port", "0", "--connect", member.address,
+                "--stats-interval", "0.001", stdout=out,
+            )
+            try:
+                deadline = time.monotonic() + 60.0
+                match = None
+                while match is None and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                    match = re.search(r"serving .* on (\S+:\d+)",
+                                      log.read_text())
+                assert match, log.read_text()
+                with RemoteBackend(match.group(1)) as front:
+                    for k, l in [(3, 3), (4, 3), (3, 4), (4, 4)] * 25:
+                        response = front.select(
+                            SelectionRequest(k=k, l=l, use_cache=False)
+                        )
+                        assert response.shape == (k, l)
+            finally:
+                server.terminate()
+                server.wait(timeout=10)
+        assert '"served"' in log.read_text()  # the reporter did run
 
     def test_connect_single_remote_server(self, subtab_artifact, capsys):
         from repro.serve import spawn_artifact_server

@@ -4,8 +4,7 @@ The gateway's central promise mirrors the transport layer's: putting an
 HTTP/1.1 face on a backend adds **no transformation**.  ``POST
 /v1/select`` and ``/v1/select_many`` through :class:`HttpBackend` are
 bit-identical (wire form minus timing/cache metadata) to driving the
-fronted backend directly — over an in-process engine, a process pool,
-and a cluster.  On top of that ride the gateway-only behaviors: API-key
+fronted backend directly — over an in-process engine and a cluster.  On top of that ride the gateway-only behaviors: API-key
 tenancy (401/403), token-bucket and concurrency-cap shedding (429 +
 ``Retry-After``), chunked JSON-lines session streaming with clean
 client-disconnect semantics, and ``X-Trace-Id`` propagation across the
@@ -37,7 +36,6 @@ from repro.queries.predicates import Eq
 from repro.serve import (
     ClusterRouter,
     InProcessBackend,
-    PoolBackend,
     RemoteRequestError,
     spawn_artifact_server,
 )
@@ -218,13 +216,6 @@ class TestEquivalence:
                 assert _contents(client.select_many(stream)) == expected
                 singles = [client.select(request) for request in stream]
                 assert _contents(singles) == expected
-
-    def test_gateway_over_pool_matches(self, subtab_artifact, stream,
-                                       expected):
-        pool = PoolBackend(subtab_artifact, workers=2, routing="hash")
-        with HttpGateway(pool, own_backend=True).start() as gateway:
-            with HttpBackend(gateway.address) as client:
-                assert _contents(client.select_many(stream)) == expected
 
     def test_gateway_over_cluster_matches(self, subtab_artifact, stream,
                                           expected):

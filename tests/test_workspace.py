@@ -310,8 +310,8 @@ class TestResponseWireFormat:
 
 
 class TestStatsJson:
-    """WorkspaceStats/PoolStats share one JSON shape (type + served +
-    detail), so pool and cluster benchmarks report comparable fields."""
+    """WorkspaceStats has the JSON shape every serving-stats object
+    shares (type + served + detail)."""
 
     def test_workspace_stats_to_json(self, seeded_store):
         from repro.api import Workspace
@@ -324,19 +324,3 @@ class TestStatsJson:
         assert payload["served"] == 1
         assert payload["engine_loads"] == 1
         assert payload["resident"] == [["planted", "subtab"]]
-
-    def test_pool_stats_to_json_matches_counters(self, subtab_artifact):
-        from repro.serve import EnginePool
-
-        with EnginePool(subtab_artifact, workers=2) as pool:
-            pool.select_many([SelectionRequest(k=3, l=3)] * 3)
-            payload = pool.stats.to_json()
-        json.dumps(payload)
-        assert payload["type"] == "pool"
-        assert payload["workers"] == 2
-        assert payload["served"] == 3
-        assert payload["hits"] + payload["misses"] == 3
-        assert sum(payload["per_worker"].values()) == 3
-        assert payload["qps"] == pytest.approx(
-            payload["served"] / payload["seconds"]
-        )
