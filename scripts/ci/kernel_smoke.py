@@ -32,12 +32,16 @@ it is fitted from (the scope check fits its own 2,000-row bundle):
    The library path and both thread counts are printed.
 
 4. **Committed goldens** — the *discrete* selection content (row
-   indices, columns, targets; never float cells) of the subtab artifact
-   and of a registry-built ``greedy-approx`` engine is diffed against
-   ``scripts/ci/goldens/kernel_smoke.json``.  This pins the selections
-   across commits: a kernel "optimization" that silently changes what
-   gets selected fails here even if fast and reference were changed in
-   lockstep.  Regenerate deliberately with ``REPRO_UPDATE_GOLDENS=1``.
+   indices, columns, targets; never float cells) of four families is
+   diffed against ``scripts/ci/goldens/kernel_smoke.json``: the subtab
+   artifact, a registry-built ``greedy-approx`` engine and a
+   registry-built ``embdi`` engine (each served under both kernel
+   backends), and the library path ``SubTab(config).fit(...).select(...)``
+   over the same session requests.  This pins the selections across
+   commits: a kernel "optimization" or a refactor of the selection path
+   that silently changes what gets selected fails here even if fast and
+   reference were changed in lockstep.  Regenerate deliberately with
+   ``REPRO_UPDATE_GOLDENS=1``.
 
 Runs in CI and locally: ``python scripts/ci/kernel_smoke.py``.
 """
@@ -80,6 +84,34 @@ def _serve_both_backends(engine, requests, label):
             f"{label}: fast and reference kernels diverged for {request}"
         )
     return fast
+
+
+def _subtable_discrete(subtable, k: int, l: int) -> dict:
+    """:func:`_discrete` for a bare :class:`~repro.core.SubTable`."""
+    return {
+        "k": k,
+        "l": l,
+        "row_indices": [int(i) for i in subtable.row_indices],
+        "columns": list(subtable.columns),
+        "targets": list(subtable.targets),
+    }
+
+
+def _library_selections(bundle) -> list:
+    """``SubTab(config).fit(...).select(...)`` over the session requests:
+    the library entry point, outside any engine."""
+    from repro.core import SubTab
+    from repro.core.config import SubTabConfig
+
+    config = SubTabConfig(k=4, l=4, seed=1)
+    subtab = SubTab(config).fit(bundle.frame, binned=bundle.binned)
+    selections = []
+    for request in session_requests(subtab):
+        k, l = request.resolve(config.k, config.l)
+        subtable = subtab.select(k, l, query=request.query,
+                                 targets=request.targets)
+        selections.append(_subtable_discrete(subtable, k, l))
+    return selections
 
 
 def _fit_both_backends(bundle) -> None:
@@ -181,6 +213,7 @@ def main() -> int:
     from repro.api.registry import selector_names
     from repro.bench import load_bundle
     from repro.core.config import SubTabConfig
+    from repro.embedding.word2vec import Word2VecConfig
 
     assert "greedy-approx" in selector_names(), (
         f"greedy-approx missing from the registry: {selector_names()}"
@@ -210,9 +243,26 @@ def main() -> int:
         approx, approx_requests, "kernel smoke [greedy-approx]"
     )
 
+    # EmbDI: the same centroid selection over a graph-walk embedding,
+    # at the registry's small test scale.
+    embdi = Engine("embdi", config=SubTabConfig(k=4, l=4, seed=1),
+                   selector_options={
+                       "walks_per_node": 1, "walk_length": 6,
+                       "word2vec": Word2VecConfig(epochs=1, dim=8),
+                   })
+    embdi.fit(bundle.frame, binned=bundle.binned)
+    embdi_requests = [replace(request, use_cache=False)
+                      for request in session_requests(embdi)]
+    embdi_fast = _serve_both_backends(
+        embdi, embdi_requests, "kernel smoke [embdi]"
+    )
+    library = _library_selections(bundle)
+
     golden = {
         "subtab": [_discrete(response) for response in subtab_fast],
         "greedy_approx": [_discrete(response) for response in approx_fast],
+        "embdi": [_discrete(response) for response in embdi_fast],
+        "subtab_library": library,
     }
     if os.environ.get("REPRO_UPDATE_GOLDENS"):
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -221,7 +271,7 @@ def main() -> int:
         print(f"kernel smoke: regenerated {GOLDEN_PATH}")
         return 0
     committed = json.loads(GOLDEN_PATH.read_text())
-    for family in ("subtab", "greedy_approx"):
+    for family in golden:
         fresh, pinned = golden[family], committed[family]
         assert len(fresh) == len(pinned), (
             f"kernel smoke [{family}]: {len(fresh)} selections vs "
@@ -235,8 +285,9 @@ def main() -> int:
             )
 
     print(f"kernel smoke: one fit, {len(requests)} subtab + "
-          f"{len(approx_requests)} greedy-approx selections bit-identical "
-          f"across kernel backends and matching the committed goldens")
+          f"{len(approx_requests)} greedy-approx + {len(embdi_requests)} "
+          f"embdi selections bit-identical across kernel backends; they and "
+          f"{len(library)} library selections match the committed goldens")
     return 0
 
 

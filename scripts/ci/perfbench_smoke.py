@@ -1,19 +1,26 @@
 """Perfbench smoke: check the last line of each saved ``perfbench/run.py`` run.
 
-CI runs every perfbench workload at smoke scale and saves each run's
-standard output::
+CI runs every perfbench workload at smoke scale, plus one traced
+``explore_cold`` run, and saves each run's standard output::
 
     python3 perfbench/run.py --workload ingest --seed 1 --seconds 1 --trace 0 \
         > perfbench-out/ingest.txt
+    python3 perfbench/run.py --workload explore_cold --seed 1 --seconds 1 \
+        --trace 1 > perfbench-out/explore_cold-traced.txt
 
 then passes the saved files here::
 
     python scripts/ci/perfbench_smoke.py perfbench-out/*.txt
 
-The last line of a run is one JSON object.  The gate: the run checked its
-outputs (``correct``), failed no step (``failed`` is 0) and attempted at
-least one.  The time metrics are printed for the record but not gated:
-shared CI runners are too noisy to hold them to a bound.
+A run prints two JSON lines: its report (which names the ``workload``
+and, when traced, carries a ``trace`` section), then its result.  The
+gate: the run checked its outputs (``correct``), failed no step
+(``failed`` is 0) and attempted at least one.  A traced ``explore_cold``
+run must also read nonzero for every :data:`TRACED_LAYERS` metric: the
+tracer patches the selection and k-means functions by module global, so
+moving one of them out from under its patch silently drops that layer to
+0.  The time metrics are printed for the record but not gated: shared CI
+runners are too noisy to hold them to a bound.
 """
 
 from __future__ import annotations
@@ -21,6 +28,23 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+#: Per-layer totals a traced ``explore_cold`` run must report as nonzero.
+TRACED_LAYERS = ("core.selection_self_ms.total", "cluster.kmeans_calls.total")
+
+
+def _empty_layers(lines: list, result: dict) -> list:
+    """The :data:`TRACED_LAYERS` a traced explore_cold run reads 0 for
+    (none for any other run)."""
+    try:
+        report = json.loads(lines[-2])
+    except (IndexError, json.JSONDecodeError):
+        return []
+    if report.get("workload") != "explore_cold" or not report.get("trace"):
+        return []
+    metrics = result.get("metrics", {})
+    return [name for name in TRACED_LAYERS
+            if not metrics.get(name, {}).get("value")]
 
 
 def main(paths: list) -> int:
@@ -37,8 +61,9 @@ def main(paths: list) -> int:
             print(f"perfbench smoke: FAIL {path}: no result line ({error})")
             failures += 1
             continue
+        empty = _empty_layers(lines, result)
         ok = (result.get("correct") is True and result.get("failed") == 0
-              and result.get("attempted", 0) > 0)
+              and result.get("attempted", 0) > 0 and not empty)
         metrics = "   ".join(
             f"{name}={metric['value']:g}{metric['unit']}"
             for name, metric in sorted(result.get("metrics", {}).items())
@@ -47,6 +72,8 @@ def main(paths: list) -> int:
               f"correct={result.get('correct')} "
               f"attempted={result.get('attempted')} "
               f"failed={result.get('failed')}\n    {metrics}")
+        if empty:
+            print(f"    traced layers read 0: {', '.join(empty)}")
         if not ok:
             failures += 1
     return 1 if failures else 0

@@ -21,7 +21,7 @@
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.api.artifacts import load_artifact, save_artifact
 from repro.api.cache import CacheStats, LRUCache, query_fingerprint
@@ -247,7 +247,6 @@ class Engine:
                 modes=modes or None,
             )
         elapsed = time.perf_counter() - start
-        self.timings_["select"] = elapsed
         if cacheable:
             self._cache.put(key, subtable)
         return self._respond(subtable, request, k, l, cache_hit=False,

@@ -20,7 +20,6 @@ from repro.binning.normalize import normalize_table
 from repro.binning.pipeline import BinnedTable, TableBinner
 from repro.core.result import SubTable, subtable_from_selection
 from repro.frame.frame import DataFrame
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import validate_selection_args
 
 
@@ -31,7 +30,9 @@ class BaseSelector(ABC):
     result as a binned view plus the global row indices it came from, and
     the request's mode overrides as an argument: one selector serves
     concurrent requests, so request state is passed, never stored on
-    ``self``.
+    ``self``.  A stochastic selector builds each select's generator from
+    the seed inside the call (``ensure_rng(self._seed)``), so a reply is a
+    function of the prepared table and the request alone.
 
     Parameters
     ----------
@@ -55,7 +56,6 @@ class BaseSelector(ABC):
 
     def __init__(self, seed=None, binner: Optional[TableBinner] = None):
         self._seed = seed
-        self._rng = ensure_rng(seed)
         self._binner = binner
         self._frame: Optional[DataFrame] = None
         self._binned: Optional[BinnedTable] = None

@@ -33,6 +33,7 @@ from repro.binning.pipeline import BinnedTable
 from repro.metrics.coverage import CoverageEvaluator, IncrementalCoverage
 from repro.rules.miner import RuleMiner
 from repro.rules.rule import AssociationRule
+from repro.utils.rng import ensure_rng
 
 
 def greedy_row_selection(
@@ -148,11 +149,6 @@ class GreedySelector(BaseSelector):
             self._rules = miner.mine(self._binned)
         self._evaluator = CoverageEvaluator(self._binned, self._rules)
 
-    def _select_rng(self) -> np.random.Generator:
-        """The generator one select draws its column order and row samples
-        from (the sampling-based approximation overrides this hook)."""
-        return self._rng
-
     def _row_selection(
         self,
         evaluator: CoverageEvaluator,
@@ -184,7 +180,9 @@ class GreedySelector(BaseSelector):
         best_cov = -1.0
         best: tuple[list[int], tuple[str, ...]] | None = None
         n_seen = 0
-        rng = self._select_rng()
+        # One generator per select, for the column order and the row stage:
+        # a repeated request gets the same answer whatever ran before.
+        rng = ensure_rng(self._seed)
         for subset in iterate_column_subsets(
             columns, l, targets, order=self.order, rng=rng
         ):

@@ -29,7 +29,6 @@ from repro.baselines.greedy import GreedySelector
 from repro.metrics.coverage import CoverageEvaluator, IncrementalCoverage
 from repro.rules.miner import RuleMiner
 from repro.rules.rule import AssociationRule
-from repro.utils.rng import ensure_rng
 
 
 def sample_size_for(
@@ -158,13 +157,6 @@ class ApproxGreedySelector(GreedySelector):
         self.sample_rate = sample_rate
         self.epsilon = epsilon
         self.min_sample = min_sample
-
-    def _select_rng(self) -> np.random.Generator:
-        # Fresh stream per select, owned by that select: replayable on
-        # every serving topology (cluster members, remote sessions)
-        # regardless of request history, and private to the call when
-        # selects race.
-        return ensure_rng(self._seed)
 
     def _row_selection(
         self,

@@ -26,6 +26,7 @@ from repro.baselines.base import BaseSelector
 from repro.binning.pipeline import BinnedTable
 from repro.metrics.combined import SubTableScorer
 from repro.rules.miner import RuleMiner
+from repro.utils.rng import ensure_rng
 
 
 class UCBArms:
@@ -101,6 +102,9 @@ class MABSelector(BaseSelector):
         modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         scorer = self._scorer
+        # A fresh generator per select: a repeated request gets the same
+        # answer whatever this selector served before.
+        rng = ensure_rng(self._seed)
         n = len(rows)
         k = min(k, n)
         free_columns = [name for name in columns if name not in targets]
@@ -115,9 +119,9 @@ class MABSelector(BaseSelector):
         best_score = -1.0
         best: tuple[list[int], list[str]] | None = None
         for _ in range(self.iterations):
-            local_rows = row_arms.top(k, self._rng)
+            local_rows = row_arms.top(k, rng)
             if n_free > 0:
-                column_picks = column_arms.top(n_free, self._rng)
+                column_picks = column_arms.top(n_free, rng)
                 chosen = {free_columns[i] for i in column_picks}
             else:
                 column_picks = np.empty(0, dtype=np.int64)

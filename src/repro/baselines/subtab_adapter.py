@@ -1,24 +1,29 @@
-"""Adapter exposing SubTab through the common selector interface.
+"""Centroid-based selection behind the common selector interface.
 
 Experiments and the :class:`repro.api.Engine` drive every algorithm through
 ``prepare(frame, binned) / select(k, l, query, targets)``; this adapter lets
 SubTab share the same pre-computed binning as the baselines so that quality
 differences reflect the selection algorithm, not the bins.
 
-The adapter also owns SubTab's serving-layer fast path: the full-table
-tuple-vectors are materialized (lazily) once, and any query view's row
-vectors are served by slicing that cache — bit-identical to recomputing
+It is the one implementation of Algorithm 2's per-display phase: view →
+:func:`~repro.core.selection.centroid_selection` → fairness repair.
+:meth:`SubTab.select <repro.core.SubTab.select>` calls into it, and the
+EmbDI baseline inherits it, swapping only the embedding.
+
+The adapter also owns the serving-layer fast path: the full-table
+tuple-vectors are materialized (lazily) once, and any view keeping every
+column is served by slicing that cache — bit-identical to recomputing
 them, because views gather the parent's global token ids.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from repro.baselines.base import BaseSelector
-from repro.binning.pipeline import BinnedTable, TableBinner, normalize_row_indices
+from repro.binning.pipeline import BinnedTable, TableBinner
 from repro.core.config import SubTabConfig
 from repro.core.selection import centroid_selection
 from repro.core.subtab import SubTab
@@ -33,7 +38,9 @@ class SubTabSelector(BaseSelector):
     ----------
     config:
         Pipeline configuration; its binning knobs configure the binner used
-        when ``prepare`` is called without a shared ``binned`` table.
+        when ``prepare`` is called without a shared ``binned`` table, and
+        its ``centroid_mode``/``column_mode``/``row_mode``/``kmeans_n_init``
+        drive every select.
     seed:
         Override for the selection RNG (defaults to ``config.seed``).
     subtab:
@@ -62,89 +69,70 @@ class SubTabSelector(BaseSelector):
         )
         self.config = config
         self._subtab: Optional[SubTab] = subtab
+        self.timings_: dict[str, float] = (
+            subtab.timings_ if subtab is not None else {}
+        )
+        self._model: Optional[CellEmbeddingModel] = None
         self._pretrained_model: Optional[CellEmbeddingModel] = None
         self._full_row_vectors: Optional[np.ndarray] = None
         if subtab is not None and subtab.is_fitted:
             self._frame = subtab.frame
             self._binned = subtab.binned
+            self._model = subtab.model
 
     def _after_prepare(self) -> None:
         self._full_row_vectors = None
-        if (
-            self._subtab is not None
-            and self._subtab.is_fitted
-            and self._subtab.binned is self._binned
-        ):
-            return  # adopting an already-fitted SubTab on the same binning
-        if self._subtab is None:
-            self._subtab = SubTab(self.config)
-        self._subtab.fit(
-            self._frame, binned=self._binned, model=self._pretrained_model
-        )
+        self._model = self._train_embedding()
+
+    def _train_embedding(self) -> CellEmbeddingModel:
+        """The cell embedding over the prepared table (Alg. 2 lines 1-4).
+
+        Fits the adopted (or a new) :class:`SubTab` on the shared binning,
+        unless it is already fitted on it; a preloaded embedding skips the
+        training.  Subclasses swap the embedding by overriding this hook.
+        """
+        subtab = self._subtab
+        if subtab is None:
+            subtab = self._subtab = SubTab(self.config)
+            self.timings_ = subtab.timings_
+        if not (subtab.is_fitted and subtab.binned is self._binned):
+            subtab.fit(
+                self._frame, binned=self._binned, model=self._pretrained_model
+            )
+        return subtab.model
 
     @property
     def subtab(self) -> SubTab:
         self._require_prepared()
         return self._subtab
 
-    @property
-    def timings_(self) -> dict:
-        return self._subtab.timings_ if self._subtab else {}
-
     # -- embedding persistence hooks (repro.api artifacts) ---------------------
     @property
     def embedding_model(self) -> Optional[CellEmbeddingModel]:
         """The trained cell-embedding model, once prepared."""
-        return self._subtab.model if self.is_fitted else None
+        return self._model
 
     def preload_embedding(self, model: CellEmbeddingModel) -> None:
         """Inject a pre-trained embedding; the next ``prepare`` skips training."""
         self._pretrained_model = model
 
-    # -- cached row vectors -----------------------------------------------------
-    @property
-    def full_row_vectors(self) -> np.ndarray:
-        """(n, d) full-table tuple-vectors, materialized once on first use."""
-        self._require_prepared()
-        if self._full_row_vectors is None:
-            self._full_row_vectors = self._subtab.model.row_vectors(self._binned)
-        return self._full_row_vectors
-
-    def view_row_vectors(self, rows, columns: Sequence[str]) -> np.ndarray:
-        """(len(rows), d) tuple-vectors of the query view.
-
-        Bit-identical to ``model.row_vectors(binned.subset(rows, columns))``:
-        views gather global token ids, so slicing commutes with the
-        embedding lookup.  Queries keeping every column (in table order) hit
-        the cached full-table tuple-vectors; projections gather from the
-        model's token vectors directly.
-        """
-        self._require_prepared()
-        rows = normalize_row_indices(rows)
-        col_idx = np.array(
-            [self._binned.column_index(name) for name in columns], dtype=np.int64
-        )
-        if self._keeps_all_columns(col_idx):
-            return self.full_row_vectors[rows]
-        model = self._subtab.model
-        return model.vectors[self._binned.token_ids[np.ix_(rows, col_idx)]].mean(
-            axis=1
-        )
-
-    def _keeps_all_columns(self, col_idx: np.ndarray) -> bool:
-        """Whether a column selection is the full table in table order."""
-        return len(col_idx) == self._binned.n_cols and np.array_equal(
-            col_idx, np.arange(len(col_idx))
-        )
-
-    def _view_vectors(self, view) -> np.ndarray:
-        """Tuple-vectors of an already-built view, without re-gathering ids."""
-        col_idx = getattr(view, "column_indices", None)
-        if col_idx is not None and self._keeps_all_columns(col_idx):
-            return self.full_row_vectors[view.row_indices]
-        return self._subtab.model.vectors[view.token_ids].mean(axis=1)
-
     # -- selection ---------------------------------------------------------------
+    def _view_vectors(self, view) -> np.ndarray:
+        """(n, d) tuple-vectors of ``view`` (Alg. 2 lines 8-10).
+
+        Views keeping every column in table order slice the full-table
+        tuple-vectors, materialized once; projections pool the model's
+        token vectors over the view's global token ids.
+        """
+        col_idx = getattr(view, "column_indices", None)
+        if col_idx is not None and np.array_equal(
+            col_idx, np.arange(self._binned.n_cols)
+        ):
+            if self._full_row_vectors is None:
+                self._full_row_vectors = self._model.row_vectors(self._binned)
+            return self._full_row_vectors[view.row_indices]
+        return self._model.vectors[view.token_ids].mean(axis=1)
+
     def _select_from_view(
         self,
         view: BinnedTable,
@@ -156,12 +144,12 @@ class SubTabSelector(BaseSelector):
         modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         config = self.config
-        # A fresh generator per call, exactly like SubTab.select: every
-        # display is deterministic given the seed, so repeated/cached
-        # requests are bit-identical to cold ones by construction.
+        # A fresh generator per call: every display is deterministic given
+        # the seed, so repeated/cached requests are bit-identical to cold
+        # ones by construction.
         return centroid_selection(
             view,
-            self._subtab.model,
+            self._model,
             k,
             l,
             targets=targets,

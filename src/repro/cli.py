@@ -327,10 +327,9 @@ def _start_stats_reporter(server, interval: float):
     snapshots include the backend's ``metrics`` section — counters and
     latency histograms from :mod:`repro.obs` — so a long-running server
     leaves a scrapeable trail on stdout without any client asking.  Each
-    snapshot is a ``stats`` op through the server's dispatcher, so it
-    waits behind requests in flight: a hosted sync ``RemoteBackend`` has
-    one socket, and a ``stats`` call racing a select on it would cross
-    their replies.
+    snapshot is a ``stats`` op through the server's dispatcher, so it is
+    served like any client's: under the dispatcher's lock, which keeps it
+    from reading the backend's unguarded ``_account`` counters mid-update.
     """
     import json
     import threading

@@ -9,7 +9,11 @@ Two phases:
    (including per exploratory query): pool cell vectors into tuple-vectors
    and column-vectors, cluster each, and take the rows/columns nearest the
    cluster centers.  Target columns U* are excluded from clustering and
-   appended afterwards, exactly as in lines 13-17 of the algorithm.
+   appended afterwards, exactly as in lines 13-17 of the algorithm.  The
+   phase has one implementation,
+   :class:`~repro.baselines.subtab_adapter.SubTabSelector`, which also
+   serves the :class:`repro.api.Engine` and the EmbDI baseline;
+   ``select`` calls into it.
 
 Because the embedding is computed once over the *full* table, selecting a
 sub-table for a query result costs only a slicing of the token matrix plus
@@ -19,15 +23,12 @@ reproduction of Figure 9 measures exactly this split.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.binning.normalize import normalize_table
 from repro.binning.pipeline import BinnedTable, TableBinner
 from repro.core.config import PMI_SVD, SubTabConfig
-from repro.core.selection import centroid_selection
-from repro.core.result import SubTable, subtable_from_selection
+from repro.core.result import SubTable
 from repro.embedding.corpus import build_corpus
 from repro.embedding.model import CellEmbeddingModel
 from repro.embedding.pmi import train_pmi_embedding
@@ -35,7 +36,9 @@ from repro.embedding.word2vec import Word2Vec
 from repro.frame.frame import DataFrame
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import timed
-from repro.utils.validation import validate_selection_args
+
+if TYPE_CHECKING:
+    from repro.baselines.subtab_adapter import SubTabSelector
 
 
 class NotFittedError(RuntimeError):
@@ -60,6 +63,9 @@ class SubTab:
         self._frame: Optional[DataFrame] = None
         self._binned: Optional[BinnedTable] = None
         self._model: Optional[CellEmbeddingModel] = None
+        # The selection phase's selector, built on the first select and
+        # dropped by a re-fit (never built by ``fit``).
+        self._selector: Optional[SubTabSelector] = None
         self.timings_: dict[str, float] = {}
 
     # -- phase 1: pre-processing -------------------------------------------------
@@ -126,6 +132,7 @@ class SubTab:
         self._frame = normalized
         self._binned = binned
         self._model = model
+        self._selector = None
         return self
 
     # ``prepare`` is the :class:`repro.api.Selector`-protocol spelling of the
@@ -188,47 +195,16 @@ class SubTab:
             large group of the protected column is represented (the paper's
             future-work extension).
         """
-        binned = self._require_fitted()
+        self._require_fitted()
         config = self.config
         k = config.k if k is None else k
         l = config.l if l is None else l
-        targets = validate_selection_args(k, l, targets)
-
         with timed(self.timings_, "select"):
-            rows, columns = self._apply_query(query)
-            view = binned.subset(rows=rows, columns=columns)
-            local_rows, selected_columns = centroid_selection(
-                view,
-                self._model,
-                k,
-                l,
-                targets=targets,
-                centroid_mode=config.centroid_mode,
-                column_mode=config.column_mode,
-                row_mode=config.row_mode,
-                n_init=config.kmeans_n_init,
-                seed=ensure_rng(config.seed),
+            if self._selector is None:
+                from repro.baselines.subtab_adapter import SubTabSelector
+
+                self._selector = SubTabSelector(subtab=self)
+            subtable = self._selector.select(
+                k, l, query=query, targets=targets, fairness=fairness
             )
-            if fairness is not None:
-                from repro.core.fairness import enforce_representation
-
-                local_rows = enforce_representation(
-                    view, local_rows, self._model.row_vectors(view), fairness
-                )
-            selected_rows = [int(rows[i]) for i in local_rows]
-
-        return subtable_from_selection(
-            self._frame, selected_rows, selected_columns, targets=list(targets)
-        )
-
-    def _apply_query(self, query) -> tuple[np.ndarray, list[str]]:
-        frame = self._frame
-        if query is None:
-            return np.arange(frame.n_rows), list(frame.columns)
-        rows = np.asarray(query.row_indices(frame), dtype=np.int64)
-        columns = list(query.output_columns(frame))
-        if len(rows) == 0:
-            raise ValueError("query selects no rows; nothing to display")
-        if not columns:
-            raise ValueError("query selects no columns; nothing to display")
-        return rows, columns
+        return subtable

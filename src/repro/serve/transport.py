@@ -175,12 +175,12 @@ class BackendDispatcher:
     :class:`~repro.serve.aio.AsyncSocketServer` hand every decoded frame
     to one of these, so the op set, the error taxonomy, and the
     request-id echo cannot drift between transports.  Backend calls are
-    serialized under one lock: a hosted sync :class:`RemoteBackend` (alone
-    or as a ring member) shares one socket across callers, and the
-    ``greedy``, ``semigreedy`` and ``mab`` selectors still draw from a
-    generator kept on the selector.  Cross-member parallelism in a
-    cluster comes from running many server *processes*, not many threads
-    in one.
+    serialized under one lock.  Selectors keep no per-select state and a
+    sync :class:`RemoteBackend` locks its own socket, but the backends'
+    accounting (:meth:`BaseBackend._account <repro.serve.backend.
+    BaseBackend._account>`: ``served``/``errors``/``seconds``) is an
+    unguarded read-modify-write.  Cross-member parallelism in a cluster
+    comes from running many server *processes*, not many threads in one.
     """
 
     def __init__(self, backend) -> None:
@@ -345,9 +345,8 @@ class SocketServer:
 
     ``port=0`` binds an ephemeral port; read the bound address from
     :attr:`address`.  Connections are handled in threads, but backend
-    calls are serialized under the :class:`BackendDispatcher`'s lock (a
-    hosted sync :class:`RemoteBackend` shares one socket, and three
-    selectors still keep a generator on ``self``); cross-member
+    calls are serialized under the :class:`BackendDispatcher`'s lock (the
+    backends' ``_account`` counters are unguarded); cross-member
     parallelism in a cluster comes from running many server *processes*,
     not many threads in one.
 
@@ -455,7 +454,9 @@ class RemoteBackend(BaseBackend):
 
     Connects lazily, keeps one connection per backend, and reconnects once
     on a stale-connection failure (selection is pure and LRU-cached, so a
-    retried request is idempotent).  Transport failures raise
+    retried request is idempotent).  Threads may share one instance: a
+    lock held for the whole of each public call keeps one request and its
+    reply on the socket at a time.  Transport failures raise
     :class:`TransportError` — a :class:`BackendError`, so a
     :class:`~repro.serve.cluster.ClusterRouter` fails over to a replica.
 
@@ -488,6 +489,7 @@ class RemoteBackend(BaseBackend):
         #: ``self.metrics`` under ``trace.<stage>``.
         self.last_trace: Optional[dict] = None
         self._sock: Optional[socket.socket] = None
+        self._lock = threading.Lock()
 
     # -- connection ----------------------------------------------------------
     @property
@@ -555,12 +557,14 @@ class RemoteBackend(BaseBackend):
 
     def ping(self) -> bool:
         """Liveness probe (raises :class:`TransportError` when unreachable)."""
-        return bool(self._call({"op": "ping"}).get("ok"))
+        with self._lock:
+            return bool(self._call({"op": "ping"}).get("ok"))
 
     def server_metrics(self) -> dict:
         """The server-side telemetry snapshot (``metrics`` op):
         ``{"dispatcher": ..., "backend": ...}`` registry snapshots."""
-        reply = self._call({"op": "metrics"})
+        with self._lock:
+            reply = self._call({"op": "metrics"})
         if not reply.get("ok"):
             raise self._reply_error(reply)
         return reply["metrics"]
@@ -571,49 +575,57 @@ class RemoteBackend(BaseBackend):
         requests: Sequence[SelectionRequest],
         raise_on_error: bool = True,
     ) -> list:
-        start = time.perf_counter()
-        try:
-            reply = self._call({
-                "op": "select_many",
-                "requests": [request.to_wire() for request in requests],
-            })
-            if not reply.get("ok"):
-                raise self._reply_error(reply)
-        except BackendError as error:
-            # Every request of the batch went unserved: the stats envelope
-            # counts them all, so errors/qps stay honest under failure.
-            self._account([error] * len(requests),
-                          time.perf_counter() - start)
-            raise
-        entries: list = []
-        for result in reply["results"]:
-            if result.get("ok"):
-                entries.append(SelectionResponse.from_wire(result["response"]))
-            else:
-                entries.append(self._reply_error(result))
-        self._account(entries, time.perf_counter() - start)
+        with self._lock:
+            start = time.perf_counter()
+            try:
+                reply = self._call({
+                    "op": "select_many",
+                    "requests": [request.to_wire() for request in requests],
+                })
+                if not reply.get("ok"):
+                    raise self._reply_error(reply)
+            except BackendError as error:
+                # Every request of the batch went unserved: the stats
+                # envelope counts them all, so errors/qps stay honest
+                # under failure.
+                self._account([error] * len(requests),
+                              time.perf_counter() - start)
+                raise
+            entries: list = []
+            for result in reply["results"]:
+                if result.get("ok"):
+                    entries.append(
+                        SelectionResponse.from_wire(result["response"])
+                    )
+                else:
+                    entries.append(self._reply_error(result))
+            self._account(entries, time.perf_counter() - start)
         return self._finish(entries, raise_on_error)
 
     def select(self, request: SelectionRequest) -> SelectionResponse:
-        start = time.perf_counter()
-        try:
-            reply = self._call({"op": "select", "request": request.to_wire()})
-            if not reply.get("ok"):
-                raise self._reply_error(reply)
-        except Exception as error:
-            self._account([error], time.perf_counter() - start)
-            raise
-        response = SelectionResponse.from_wire(reply["response"])
-        self._account([response], time.perf_counter() - start)
+        with self._lock:
+            start = time.perf_counter()
+            try:
+                reply = self._call(
+                    {"op": "select", "request": request.to_wire()}
+                )
+                if not reply.get("ok"):
+                    raise self._reply_error(reply)
+            except Exception as error:
+                self._account([error], time.perf_counter() - start)
+                raise
+            response = SelectionResponse.from_wire(reply["response"])
+            self._account([response], time.perf_counter() - start)
         return response
 
     def stats(self) -> dict:
-        payload = super().stats()
-        payload["address"] = self.address
-        try:
-            payload["server"] = self._call({"op": "stats"})["stats"]
-        except (BackendError, KeyError):
-            payload["server"] = None
+        with self._lock:
+            payload = super().stats()
+            payload["address"] = self.address
+            try:
+                payload["server"] = self._call({"op": "stats"})["stats"]
+            except (BackendError, KeyError):
+                payload["server"] = None
         return payload
 
     def close(self) -> None:

@@ -8,6 +8,7 @@ rejection).
 """
 
 import json
+import random
 import sys
 import threading
 
@@ -17,6 +18,7 @@ import pytest
 from repro.api import (
     ARTIFACT_VERSION,
     ArtifactError,
+    ArtifactStore,
     Engine,
     SelectionRequest,
     SelectionResponse,
@@ -27,13 +29,14 @@ from repro.api import (
     resolve_name,
     selector_names,
     selector_spec,
+    Workspace,
 )
 from repro.baselines import NaiveClusteringSelector, SubTabSelector
 from repro.core import SubTab, SubTabConfig
 from repro.core.fairness import GroupRepresentation
 from repro.datasets import make_dataset
 from repro.embedding.word2vec import Word2VecConfig
-from repro.queries import Eq, SPQuery
+from repro.queries import Eq, SessionGenerator, SPQuery
 
 # Cheap per-algorithm options so the full-registry sweep stays fast.
 FAST_OPTIONS = {
@@ -46,10 +49,13 @@ FAST_OPTIONS = {
                   word2vec=Word2VecConfig(epochs=1, dim=8)),
 }
 
-#: Selectors registered for per-display use; each must answer a repeated
-#: request the same way, whatever the engine served before.
-INTERACTIVE = [name for name in selector_names()
-               if selector_spec(name).interactive]
+#: Options under which every selector's loop ends on a count cap before
+#: any clock: a reply must be a function of (artifact, request) alone.
+COUNT_CAPPED_OPTIONS = {
+    **FAST_OPTIONS,
+    "ran": dict(time_budget=3600.0),
+    "semigreedy": dict(time_budget=3600.0, max_combinations=5),
+}
 
 
 @pytest.fixture(scope="module")
@@ -227,13 +233,12 @@ class TestEngineServing:
         assert served.row_indices == cold.row_indices
         assert served.columns == cold.columns
 
-    @pytest.mark.parametrize("name", INTERACTIVE)
+    @pytest.mark.parametrize("name", selector_names())
     def test_interactive_selector_repeats_its_answer(self, name, fast_config):
-        # RAN's budget is large enough that its 60-draw cap, not the
-        # clock, ends the loop.
-        options = ({"time_budget": 3600.0} if name == "ran"
-                   else FAST_OPTIONS.get(name))
-        engine = Engine(name, fast_config, selector_options=options)
+        """Every registered selector, not only the interactive ones,
+        answers a repeated uncached request the same way."""
+        engine = Engine(name, fast_config,
+                        selector_options=COUNT_CAPPED_OPTIONS.get(name))
         engine.fit(make_dataset("cyber", n_rows=300, seed=0).frame)
         request = SelectionRequest(k=5, l=4, use_cache=False)
         first, second = engine.select(request), engine.select(request)
@@ -379,6 +384,107 @@ class TestEngineServing:
         response = subtab_engine.select(k=3, l=3)
         assert response.timings["preprocess_total"] > 0
         assert "select_seconds" in response.timings
+
+
+def _request_mix(engine, seed, **routing):
+    """Seeded uncached requests over generated session states: their
+    queries and projections, random sizes and targets and, where the
+    selector takes them, mode overrides."""
+    draw = random.Random(seed)
+    modal = bool(engine.selector.supported_modes)
+    requests = []
+    for session in SessionGenerator(engine.binned, seed=seed).generate(3):
+        for step in session:
+            columns = step.state.output_columns(engine.frame)
+            modes = {}
+            if modal and draw.random() < 0.5:
+                modes = dict(
+                    row_mode=draw.choice(("mass", "cluster")),
+                    column_mode=draw.choice(("dispersion", "centroid")),
+                )
+            requests.append(SelectionRequest(
+                k=draw.randint(3, 6), l=draw.randint(2, 4), query=step.state,
+                targets=tuple(draw.sample(columns, min(len(columns),
+                                                       draw.randint(0, 1)))),
+                use_cache=False, **modes, **routing,
+            ))
+    return requests
+
+
+def _outcome(serve, request):
+    """The reply's selection, or the error it raised."""
+    try:
+        subtable = serve(request).subtable
+    except Exception as error:
+        return type(error).__name__, str(error)
+    return subtable.row_indices, subtable.columns, subtable.targets
+
+
+def _race(serve, requests, serial, n_threads=4, per_thread=12):
+    """Threads send seeded draws of ``requests``; returns every reply that
+    differs from the ``serial`` one."""
+    diffs = []
+
+    def drive(seed):
+        draw = random.Random(seed)
+        for _ in range(per_thread):
+            i = draw.randrange(len(requests))
+            outcome = _outcome(serve, requests[i])
+            if outcome != serial[i]:
+                diffs.append((requests[i], outcome, serial[i]))
+
+    threads = [threading.Thread(target=drive, args=(seed,))
+               for seed in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    return diffs
+
+
+class TestConcurrentDifferential:
+    """Threads racing on one engine, or one workspace, get for every
+    request the reply the serial pipeline gives it."""
+
+    @pytest.fixture(scope="class")
+    def cyber_frame(self):
+        return make_dataset("cyber", n_rows=300, seed=0).frame
+
+    @pytest.mark.parametrize("name", selector_names())
+    def test_engine_replies_match_serial(self, name, fast_config,
+                                         cyber_frame):
+        engine = Engine(name, fast_config,
+                        selector_options=COUNT_CAPPED_OPTIONS.get(name))
+        engine.fit(cyber_frame)
+        requests = _request_mix(engine, seed=1)
+        serial = [_outcome(engine.select, request) for request in requests]
+        assert not _race(engine.select, requests, serial)
+
+    def test_workspace_replies_match_serial(self, fast_config, cyber_frame,
+                                            tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.save("cyber", Engine("subtab", fast_config).fit(cyber_frame))
+        store.save("spotify", Engine("nc", fast_config).fit(
+            make_dataset("spotify", n_rows=300, seed=0).frame
+        ))
+        serial_workspace = Workspace(store)
+        requests = [
+            request
+            for seed, dataset in enumerate(("cyber", "spotify"))
+            for request in _request_mix(
+                serial_workspace.engine_for(dataset), seed, dataset=dataset
+            )
+        ]
+        serial = [_outcome(serial_workspace.select, request)
+                  for request in requests]
+        # A fresh workspace: the racing threads also fault the engines in.
+        assert not _race(Workspace(store).select, requests, serial)
 
 
 class TestArtifactRoundTrip:

@@ -7,7 +7,11 @@ failover), and socket-served responses must be bit-identical to the
 in-process path.
 """
 
+import json
+import random
 import socket
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.serve import (
     send_frame,
     spawn_artifact_server,
 )
+from repro.queries.generator import SessionGenerator
 from repro.serve.transport import parse_address
 
 
@@ -246,6 +251,59 @@ class TestSpawnedServer:
             remote.close()
         for request, response in zip(requests, responses):
             assert _content(response) == _content(fitted_engine.select(request))
+
+    def test_threads_share_one_client(self, subtab_artifact, fitted_engine):
+        """Threads sharing one RemoteBackend each get the reply to the
+        request they sent: its lock keeps one call on the socket at a
+        time."""
+        distinct = {}
+        for session in SessionGenerator(fitted_engine.binned,
+                                        seed=0).generate(12):
+            for step in session:
+                request = SelectionRequest(query=step.state)
+                key = json.dumps(request.to_wire(), sort_keys=True)
+                distinct.setdefault(key, request)
+        n_threads, per_thread = 4, 60
+        wrong, errors = [], []
+        with spawn_artifact_server(subtab_artifact) as server:
+            remote = server.connect(call_timeout=30.0)
+            # Warm the server's LRU: the threaded selects are cache hits.
+            candidates = list(distinct.values())[:24]
+            warmed = remote.select_many(candidates, raise_on_error=False)
+            requests = [request for request, entry in zip(candidates, warmed)
+                        if isinstance(entry, SelectionResponse)]
+            assert len(requests) >= 20
+
+            def drive(seed):
+                draw = random.Random(seed)
+                for _ in range(per_thread):
+                    request = draw.choice(requests)
+                    try:
+                        response = remote.select(request)
+                    except Exception as error:
+                        errors.append(error)
+                        continue
+                    if response.request != request:
+                        wrong.append(request)
+
+            threads = [threading.Thread(target=drive, args=(seed,))
+                       for seed in range(n_threads)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+                remote.close()
+        assert not errors, errors[:3]
+        assert not wrong, (
+            f"{len(wrong)} of {n_threads * per_thread} selects got another "
+            "request's reply"
+        )
 
     def test_missing_artifact_fails_to_spawn(self, tmp_path):
         with pytest.raises(TransportError, match="failed to start"):
