@@ -22,7 +22,6 @@ def test_fig10_parameter_tuning(benchmark, once, capsys):
         benchmark,
         run_parameter_tuning_experiment,
         n_rows=1500,
-        ran_budget=2.0,
         seed=0,
     )
     with capsys.disabled():

@@ -8,7 +8,7 @@ magnitude below MAB/Greedy (24-48 h runs).
 Reproduction target: Greedy's quality is at least SubTab's (it directly
 optimizes cell coverage); EmbDI's quality is comparable to SubTab's at a
 multiple of the cost; SubTab is the fastest of the non-trivial methods.
-Budgets are scaled (see docs/operations.md, "The bench-gate workflow")
+Counts are scaled (see docs/operations.md, "The bench-gate workflow")
 so the bench completes in minutes.
 """
 
@@ -20,7 +20,6 @@ def test_fig7_slow_baselines(benchmark, once, capsys):
         benchmark,
         run_slow_baselines_experiment,
         n_rows=1500,
-        ran_budget=2.0,
         mab_iterations=300,
         greedy_max_combinations=25,
         embdi_walks=3,

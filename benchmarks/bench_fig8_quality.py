@@ -21,7 +21,6 @@ def test_fig8_quality_metrics(benchmark, once, capsys):
         run_quality_experiment,
         dataset_names=("flights", "spotify", "cyber"),
         n_rows=1500,
-        ran_budget=2.0,
         seed=0,
     )
     with capsys.disabled():

@@ -21,7 +21,6 @@ def test_table1_and_fig5_user_study(benchmark, once, capsys):
         run_user_study_experiment,
         n_rows=1500,
         n_participants=15,
-        ran_budget=2.0,
         seed=0,
     )
     with capsys.disabled():

@@ -32,15 +32,16 @@ it is fitted from (the scope check fits its own 2,000-row bundle):
    The library path and both thread counts are printed.
 
 4. **Committed goldens** — the *discrete* selection content (row
-   indices, columns, targets; never float cells) of four families is
+   indices, columns, targets; never float cells) of nine families is
    diffed against ``scripts/ci/goldens/kernel_smoke.json``: the subtab
-   artifact, a registry-built ``greedy-approx`` engine and a
-   registry-built ``embdi`` engine (each served under both kernel
-   backends), and the library path ``SubTab(config).fit(...).select(...)``
-   over the same session requests.  This pins the selections across
-   commits: a kernel "optimization" or a refactor of the selection path
-   that silently changes what gets selected fails here even if fast and
-   reference were changed in lockstep.  Regenerate deliberately with
+   artifact, one registry-built engine per baseline (``greedy-approx``,
+   ``embdi``, ``ran``, ``nc``, ``greedy``, ``semigreedy``, ``mab``), each
+   served under both kernel backends, and the library path
+   ``SubTab(config).fit(...).select(...)`` over the same session
+   requests.  This pins the selections across commits: a kernel
+   "optimization" or a refactor of the selection path that silently
+   changes what gets selected fails here even if fast and reference were
+   changed in lockstep.  Regenerate deliberately with
    ``REPRO_UPDATE_GOLDENS=1``.
 
 Runs in CI and locally: ``python scripts/ci/kernel_smoke.py``.
@@ -84,6 +85,22 @@ def _serve_both_backends(engine, requests, label):
             f"{label}: fast and reference kernels diverged for {request}"
         )
     return fast
+
+
+def _registry_family(bundle, name, options):
+    """A registry-built engine fitted on ``bundle``, served cold under
+    both kernel backends; returns the fast-path responses."""
+    from dataclasses import replace
+
+    from repro.api import Engine
+    from repro.core.config import SubTabConfig
+
+    engine = Engine(name, config=SubTabConfig(k=4, l=4, seed=1),
+                    selector_options=options)
+    engine.fit(bundle.frame, binned=bundle.binned)
+    requests = [replace(request, use_cache=False)
+                for request in session_requests(engine)]
+    return _serve_both_backends(engine, requests, f"kernel smoke [{name}]")
 
 
 def _subtable_discrete(subtable, k: int, l: int) -> dict:
@@ -212,7 +229,6 @@ def main() -> int:
     from repro.api import Engine
     from repro.api.registry import selector_names
     from repro.bench import load_bundle
-    from repro.core.config import SubTabConfig
     from repro.embedding.word2vec import Word2VecConfig
 
     assert "greedy-approx" in selector_names(), (
@@ -226,42 +242,35 @@ def main() -> int:
                 for request in session_requests(engine)]
     subtab_fast = _serve_both_backends(engine, requests, "kernel smoke")
 
-    # The sampling-based Greedy, built through the registry like any
-    # other selector, replayed under both backends on the same dataset
-    # slice the artifact was fitted from.
+    # Every baseline, built through the registry like any other selector,
+    # replayed under both backends on the same dataset slice the artifact
+    # was fitted from.
     bundle = load_bundle("cyber", n_rows=300, seed=1)
     _fit_both_backends(bundle)
     _one_blas_thread_leg()
-    approx = Engine("greedy-approx",
-                    config=SubTabConfig(k=4, l=4, seed=1),
-                    selector_options={"sample_rate": 0.2, "min_sample": 8,
-                                      "max_combinations": 10})
-    approx.fit(bundle.frame, binned=bundle.binned)
-    approx_requests = [replace(request, use_cache=False)
-                       for request in session_requests(approx)]
-    approx_fast = _serve_both_backends(
-        approx, approx_requests, "kernel smoke [greedy-approx]"
-    )
-
-    # EmbDI: the same centroid selection over a graph-walk embedding,
-    # at the registry's small test scale.
-    embdi = Engine("embdi", config=SubTabConfig(k=4, l=4, seed=1),
-                   selector_options={
-                       "walks_per_node": 1, "walk_length": 6,
-                       "word2vec": Word2VecConfig(epochs=1, dim=8),
-                   })
-    embdi.fit(bundle.frame, binned=bundle.binned)
-    embdi_requests = [replace(request, use_cache=False)
-                      for request in session_requests(embdi)]
-    embdi_fast = _serve_both_backends(
-        embdi, embdi_requests, "kernel smoke [embdi]"
-    )
+    # Golden family -> (registry name, selector options); the options
+    # keep every loop small.
+    specs = {
+        "greedy_approx": ("greedy-approx", {"sample_rate": 0.2,
+                                            "min_sample": 8,
+                                            "max_combinations": 10}),
+        # EmbDI: the same centroid selection over a graph-walk embedding.
+        "embdi": ("embdi", {"walks_per_node": 1, "walk_length": 6,
+                            "word2vec": Word2VecConfig(epochs=1, dim=8)}),
+        "ran": ("ran", {}),
+        "nc": ("nc", {}),
+        "greedy": ("greedy", {"max_combinations": 10}),
+        "semigreedy": ("semigreedy", {"max_combinations": 10}),
+        "mab": ("mab", {"iterations": 30}),
+    }
+    families = {family: _registry_family(bundle, name, options)
+                for family, (name, options) in specs.items()}
     library = _library_selections(bundle)
 
     golden = {
         "subtab": [_discrete(response) for response in subtab_fast],
-        "greedy_approx": [_discrete(response) for response in approx_fast],
-        "embdi": [_discrete(response) for response in embdi_fast],
+        **{family: [_discrete(response) for response in served]
+           for family, served in families.items()},
         "subtab_library": library,
     }
     if os.environ.get("REPRO_UPDATE_GOLDENS"):
@@ -284,10 +293,11 @@ def main() -> int:
                 f"committed golden:\nfresh:     {f}\ncommitted: {p}"
             )
 
-    print(f"kernel smoke: one fit, {len(requests)} subtab + "
-          f"{len(approx_requests)} greedy-approx + {len(embdi_requests)} "
-          f"embdi selections bit-identical across kernel backends; they and "
-          f"{len(library)} library selections match the committed goldens")
+    print(f"kernel smoke: {len(requests)} subtab selections and "
+          f"{sum(map(len, families.values()))} from {len(families)} "
+          f"registry baselines bit-identical across kernel backends; they "
+          f"and {len(library)} library selections match the committed "
+          f"goldens")
     return 0
 
 

@@ -1,5 +1,5 @@
 """Rule ``determinism``: no unseeded or global-state randomness in
-``src/repro/``.
+``src/repro/``, and no clock read in a selector.
 
 The reproduction claim of the source paper rests on bit-identical
 replays: the backend-equivalence suite asserts that the in-process,
@@ -34,6 +34,14 @@ records (``BENCH_kernel_qps.json``) whose curves must replay from the
 recorded seeds — the sampling-based variant re-seeds per select
 precisely so every serving topology returns the same sub-table.  The
 entropy loophole is closed for both scopes.
+
+**No clock in a selector** (``repro/baselines/``): a call resolving to
+``time.time``, ``time.perf_counter``, ``time.monotonic`` or
+``time.process_time`` (or an ``_ns`` form) is flagged.  A selector loop
+that stops on a deadline answers by how fast and how loaded the host is,
+so the same request gets different sub-tables on different machines;
+every loop must end on a count.  ``repro.utils.timer.timed`` is not a
+clock read here, so fit timings (EmbDI's embedding) stay legal.
 """
 
 from __future__ import annotations
@@ -67,13 +75,19 @@ _SEEDABLE_CONSTRUCTORS = {
 _STRICT_CONSTRUCTORS = {
     "repro.utils.rng.ensure_rng",
 }
+#: Clock reads flagged in the selector modules (see module docstring).
+_CLOCK_READS = {
+    f"time.{name}{suffix}"
+    for name in ("time", "perf_counter", "monotonic", "process_time")
+    for suffix in ("", "_ns")
+}
 
 
 class DeterminismChecker(Checker):
     name = "determinism"
     description = (
         "no unseeded RNG construction or global random/numpy.random "
-        "state in src/repro/"
+        "state in src/repro/, and no clock read in a selector"
     )
     scope = ("repro",)
 
@@ -86,6 +100,9 @@ class DeterminismChecker(Checker):
     #: (both spellings: paths are root-relative, so ``repro/`` may sit at
     #: the front or below ``src/``/a fixture root.)
     strict_globs = ("repro/baselines/greedy*", "*/repro/baselines/greedy*")
+    #: ``fnmatch`` patterns against the display path where a clock read
+    #: is a finding: the selectors.
+    clock_free_globs = ("repro/baselines/*", "*/repro/baselines/*")
 
     def check_module(self, ctx: ModuleContext) -> list:
         imports = import_table(ctx.tree)
@@ -94,6 +111,10 @@ class DeterminismChecker(Checker):
         ) or any(
             fnmatch(ctx.display_path, pattern) for pattern in self.strict_globs
         )
+        clock_free = any(
+            fnmatch(ctx.display_path, pattern)
+            for pattern in self.clock_free_globs
+        )
         findings = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -101,13 +122,20 @@ class DeterminismChecker(Checker):
             qual = resolve_call(node.func, imports)
             if qual is None:
                 continue
-            message = self._violation(qual, node, strict=strict)
+            message = self._violation(qual, node, strict=strict,
+                                      clock_free=clock_free)
             if message is not None:
                 findings.append(ctx.finding(self.name, node, message))
         return findings
 
     @staticmethod
-    def _violation(qual: str, call: ast.Call, strict: bool = False):
+    def _violation(qual: str, call: ast.Call, strict: bool = False,
+                   clock_free: bool = False) -> str | None:
+        if clock_free and qual in _CLOCK_READS:
+            return (
+                f"{qual}() reads the clock in a selector; a loop that stops "
+                f"on a deadline answers by host speed, so end it on a count"
+            )
         if qual in _SEEDABLE_CONSTRUCTORS or (
             strict and qual in _STRICT_CONSTRUCTORS
         ):

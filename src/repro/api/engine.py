@@ -66,7 +66,7 @@ class Engine:
         Shared pipeline configuration; supplies default k/l, binning knobs,
         the seed, and (for subtab) the full Algorithm-2 parameters.
     selector_options:
-        Algorithm-specific constructor options (e.g. ``time_budget`` for
+        Algorithm-specific constructor options (e.g. ``max_draws`` for
         RAN).  Not persisted by :meth:`save`; pass them again to
         :meth:`load`.
     selector:

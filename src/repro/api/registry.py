@@ -106,7 +106,7 @@ def make_selector(
 
     ``config`` carries the shared pipeline configuration (seed, binning
     knobs, and — for subtab — the full Algorithm-2 parameters); ``options``
-    are forwarded to the algorithm's constructor (e.g. ``time_budget`` for
+    are forwarded to the algorithm's constructor (e.g. ``max_draws`` for
     RAN, ``iterations`` for MAB).  The selector is returned *unprepared*;
     call ``prepare``/``fit`` or hand it to an :class:`~repro.api.Engine`.
     """
@@ -164,7 +164,7 @@ register_selector(
 )
 register_selector(
     "ran", _make_ran, interactive=True, aliases=("random",),
-    description="RAN: best of random draws under a time budget",
+    description="RAN: best of 60 random draws",
 )
 register_selector(
     "nc", _make_nc, interactive=True, aliases=("naive", "naive_cluster"),
@@ -176,7 +176,7 @@ register_selector(
 )
 register_selector(
     "semigreedy", _make_semigreedy,
-    description="SemiGreedy: any-time greedy with random column order",
+    description="SemiGreedy: greedy over 50 column subsets in random order",
 )
 register_selector(
     "greedy-approx", _make_greedy_approx, interactive=True,

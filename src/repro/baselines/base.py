@@ -37,10 +37,12 @@ class BaseSelector(ABC):
     Parameters
     ----------
     seed:
-        Integer seed or numpy Generator driving all stochastic choices.
-        When ``prepare`` has to bin the table itself, an integer seed is
-        also threaded into the :class:`TableBinner` (KDE sub-sampling), so
-        selector-owned binnings are as reproducible as shared ones.
+        Integer seed driving all stochastic choices (``None``: fresh
+        entropy on every select).  A numpy Generator is refused (see
+        :func:`check_seed`).  When ``prepare`` has to bin the table
+        itself, the seed is also threaded into the :class:`TableBinner`
+        (KDE sub-sampling), so selector-owned binnings are as reproducible
+        as shared ones.
     binner:
         Optional pre-configured :class:`TableBinner`.  ``prepare`` uses it
         when no shared ``binned`` table is supplied, so binning knobs
@@ -55,7 +57,7 @@ class BaseSelector(ABC):
     supported_modes: frozenset = frozenset()
 
     def __init__(self, seed=None, binner: Optional[TableBinner] = None):
-        self._seed = seed
+        self._seed = check_seed(seed)
         self._binner = binner
         self._frame: Optional[DataFrame] = None
         self._binned: Optional[BinnedTable] = None
@@ -88,8 +90,7 @@ class BaseSelector(ABC):
         """
         if self._binner is not None:
             return self._binner
-        seed = self._seed if isinstance(self._seed, (int, np.integer)) else 0
-        return TableBinner(seed=int(seed))
+        return TableBinner(seed=int(self._seed or 0))
 
     def _after_prepare(self) -> None:
         """Hook for subclass-specific preparation (embeddings, scorers...)."""
@@ -191,6 +192,21 @@ class BaseSelector(ABC):
         if not columns:
             raise ValueError("query selects no columns; nothing to display")
         return rows, columns
+
+
+def check_seed(seed):
+    """``seed`` itself when it is an integer or ``None``; else ``TypeError``.
+
+    A numpy Generator is refused: ``ensure_rng`` hands a Generator back
+    unchanged, so every select would draw from one shared stream and a
+    repeated request would get a different answer.
+    """
+    if seed is None or isinstance(seed, (int, np.integer)):
+        return seed
+    raise TypeError(
+        f"selector seed must be an int or None, got {type(seed).__name__}; "
+        "a numpy Generator would carry state from one select to the next"
+    )
 
 
 def random_column_choice(

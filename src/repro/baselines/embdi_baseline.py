@@ -12,6 +12,7 @@ larger than the tabular sentence corpus.
 
 from __future__ import annotations
 
+from repro.baselines.base import check_seed
 from repro.baselines.subtab_adapter import SubTabSelector
 from repro.core.config import SubTabConfig
 from repro.embedding.embdi import EmbDIEmbedder
@@ -49,7 +50,7 @@ class EmbDISelector(SubTabSelector):
         # The seed and binner are EmbDI's own, not the config's: an
         # unseeded EmbDI stays unseeded, and without a binner ``prepare``
         # bins like every other baseline.
-        self._seed = seed
+        self._seed = check_seed(seed)
         self._binner = binner
         self.walks_per_node = walks_per_node
         self.walk_length = walk_length

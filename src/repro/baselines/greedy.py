@@ -10,9 +10,10 @@ brute force on small inputs.
 ``ColumnSelection`` enumerates column subsets of size l and keeps the best
 greedy sub-table.  Full enumeration is infeasible beyond toy widths (the
 paper's complexity argument), so :class:`SemiGreedySelector` walks the
-combinations in random order under a time/iteration budget and can be halted
-any time — matching the paper's "traverse the column combinations in a
-random order" modification (Section 6.1, baseline 5).
+combinations in random order and stops after a fixed number of subsets —
+the paper's "traverse the column combinations in a random order"
+modification (Section 6.1, baseline 5), halted on a count rather than the
+clock so a reply never depends on how fast the host is.
 
 Lazy evaluation: marginal gains only shrink as rows are added, so candidates
 are kept in a max-heap of stale gains and re-evaluated only when they
@@ -22,7 +23,6 @@ surface — the standard accelerated greedy.
 from __future__ import annotations
 
 import heapq
-import time
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -117,10 +117,11 @@ class GreedySelector(BaseSelector):
     """Algorithm 1: exhaustive column enumeration + greedy rows.
 
     Only practical when C(m, l) is small; the experiment harness uses it on
-    narrow tables and as the quality ceiling of Fig. 7.  A ``time_budget``
-    (seconds) optionally halts the enumeration early, returning the best
-    sub-table found so far — then the approximation guarantee no longer
-    spans all column subsets (the paper makes the same caveat).
+    narrow tables and as the quality ceiling of Fig. 7.  A
+    ``max_combinations`` count optionally halts the enumeration early,
+    returning the best sub-table found so far — then the approximation
+    guarantee no longer spans all column subsets (the paper makes the same
+    caveat).
     """
 
     name = "Greedy"
@@ -129,7 +130,6 @@ class GreedySelector(BaseSelector):
         self,
         rules: Optional[Sequence[AssociationRule]] = None,
         miner: Optional[RuleMiner] = None,
-        time_budget: Optional[float] = None,
         max_combinations: Optional[int] = None,
         order: str = "lexicographic",
         seed=None,
@@ -138,7 +138,6 @@ class GreedySelector(BaseSelector):
         super().__init__(seed=seed, binner=binner)
         self._rules = list(rules) if rules is not None else None
         self._miner = miner
-        self.time_budget = time_budget
         self.max_combinations = max_combinations
         self.order = order
         self._evaluator: Optional[CoverageEvaluator] = None
@@ -174,9 +173,6 @@ class GreedySelector(BaseSelector):
         modes: Mapping[str, str],
     ) -> tuple[list[int], list[str]]:
         evaluator = self._evaluator
-        deadline = (
-            time.perf_counter() + self.time_budget if self.time_budget else None
-        )
         best_cov = -1.0
         best: tuple[list[int], tuple[str, ...]] | None = None
         n_seen = 0
@@ -195,8 +191,6 @@ class GreedySelector(BaseSelector):
             n_seen += 1
             if self.max_combinations and n_seen >= self.max_combinations:
                 break
-            if deadline and time.perf_counter() > deadline:
-                break
         assert best is not None
         global_rows, chosen_columns = best
         # Translate global rows back to view-local positions for the base class.
@@ -206,7 +200,8 @@ class GreedySelector(BaseSelector):
 
 
 class SemiGreedySelector(GreedySelector):
-    """The any-time variant: random column order + budget (Section 6.1)."""
+    """The halted variant: random column order, stopped after
+    ``max_combinations`` subsets (Section 6.1)."""
 
     name = "SemiGreedy"
 
@@ -214,15 +209,13 @@ class SemiGreedySelector(GreedySelector):
         self,
         rules: Optional[Sequence[AssociationRule]] = None,
         miner: Optional[RuleMiner] = None,
-        time_budget: float = 5.0,
-        max_combinations: Optional[int] = None,
+        max_combinations: Optional[int] = 50,
         seed=None,
         binner=None,
     ):
         super().__init__(
             rules=rules,
             miner=miner,
-            time_budget=time_budget,
             max_combinations=max_combinations,
             order="random",
             seed=seed,

@@ -111,8 +111,8 @@ def stochastic_greedy_row_selection(
 class ApproxGreedySelector(GreedySelector):
     """Greedy with the Section-4 sampled row stage.
 
-    Column-subset enumeration, time budgets and ``max_combinations`` come
-    from :class:`GreedySelector`; only the row stage differs.  The
+    Column-subset enumeration and ``max_combinations`` come from
+    :class:`GreedySelector`; only the row stage differs.  The
     quality-vs-latency dial:
 
     - ``sample_rate``: fixed fraction of the candidate pool per pick
@@ -129,7 +129,6 @@ class ApproxGreedySelector(GreedySelector):
         self,
         rules: Optional[Sequence[AssociationRule]] = None,
         miner: Optional[RuleMiner] = None,
-        time_budget: Optional[float] = None,
         max_combinations: Optional[int] = None,
         order: str = "lexicographic",
         seed=None,
@@ -141,7 +140,6 @@ class ApproxGreedySelector(GreedySelector):
         super().__init__(
             rules=rules,
             miner=miner,
-            time_budget=time_budget,
             max_combinations=max_combinations,
             order=order,
             seed=seed,

@@ -12,12 +12,11 @@ combined metric — the behaviour Fig. 7 reports.
 
 The paper reports that even after very long runs MAB trails the other
 baselines — reward credit over 10+ joint arms is too diffuse — and the
-reproduction of Fig. 7 shows the same behaviour at scaled budgets.
+reproduction of Fig. 7 shows the same behaviour at scaled iteration counts.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Mapping, Optional
 
 import numpy as np
@@ -71,7 +70,6 @@ class MABSelector(BaseSelector):
     def __init__(
         self,
         iterations: int = 300,
-        time_budget: Optional[float] = None,
         exploration: float = 1.4,
         scorer: SubTableScorer | None = None,
         miner: Optional[RuleMiner] = None,
@@ -82,7 +80,6 @@ class MABSelector(BaseSelector):
         if iterations < 1:
             raise ValueError("iterations must be positive")
         self.iterations = iterations
-        self.time_budget = time_budget
         self.exploration = exploration
         self._scorer = scorer
         self._miner = miner
@@ -113,9 +110,6 @@ class MABSelector(BaseSelector):
         row_arms = UCBArms(n, exploration=self.exploration)
         column_arms = UCBArms(max(len(free_columns), 1), exploration=self.exploration)
 
-        deadline = (
-            time.perf_counter() + self.time_budget if self.time_budget else None
-        )
         best_score = -1.0
         best: tuple[list[int], list[str]] | None = None
         for _ in range(self.iterations):
@@ -137,7 +131,5 @@ class MABSelector(BaseSelector):
             if reward > best_score:
                 best_score = reward
                 best = (sorted(int(i) for i in local_rows), selected_columns)
-            if deadline and time.perf_counter() > deadline:
-                break
         assert best is not None
         return best

@@ -1,14 +1,14 @@
 """RAN baseline (paper Section 6.1, baseline 1).
 
-Repeatedly draws k uniformly random rows and l uniformly random columns for
-a fixed time budget, scores each draw with the combined metric, and returns
-the best sub-table seen.  The paper gives it one minute per display; the
-budget is configurable so scaled experiments stay fast.
+Draws k uniformly random rows and l uniformly random columns a fixed number
+of times, scores each draw with the combined metric, and returns the best
+sub-table seen.  The paper gives it one minute per display, which on its
+tables amounts to a few dozen draws; the draw count stands in for that
+minute, so a reply never depends on how fast the host is.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Mapping
 
 import numpy as np
@@ -25,18 +25,13 @@ class RandomSelector(BaseSelector):
 
     Parameters
     ----------
-    time_budget:
-        Wall-clock seconds to spend drawing (paper: 60).
-    min_draws:
-        Draw at least this many candidates regardless of the budget, so the
-        baseline is meaningful even with a tiny budget.
     max_draws:
-        Cap on the number of draws.  On the paper's 6M-row tables one
-        combined-score evaluation costs seconds, so a one-minute loop
-        amounts to a few dozen draws; benchmark tables are hundreds of times
-        smaller, and without this cap RAN degenerates into a direct
-        random-search optimizer of the evaluation metric.  The default (60)
-        matches the paper-scale draw budget; set ``None`` to disable.
+        Number of draws.  On the paper's 6M-row tables one combined-score
+        evaluation costs seconds, so a one-minute loop amounts to a few
+        dozen draws; benchmark tables are hundreds of times smaller, and an
+        unbounded RAN would degenerate into a direct random-search
+        optimizer of the evaluation metric.  The default (60) matches the
+        paper-scale draw count; it must be at least 1.
     scorer / miner:
         Scoring is the paper's combined metric; a pre-built scorer may be
         shared across selectors to avoid re-mining rules.
@@ -46,21 +41,15 @@ class RandomSelector(BaseSelector):
 
     def __init__(
         self,
-        time_budget: float = 1.0,
-        min_draws: int = 30,
-        max_draws: "int | None" = 60,
+        max_draws: int = 60,
         scorer: SubTableScorer | None = None,
         miner: RuleMiner | None = None,
         seed=None,
         binner=None,
     ):
         super().__init__(seed=seed, binner=binner)
-        if time_budget <= 0:
-            raise ValueError("time_budget must be positive")
-        if max_draws is not None and max_draws < min_draws:
-            raise ValueError("max_draws must be >= min_draws")
-        self.time_budget = time_budget
-        self.min_draws = min_draws
+        if max_draws is None or max_draws < 1:
+            raise ValueError(f"max_draws must be at least 1, got {max_draws}")
         self.max_draws = max_draws
         self._scorer = scorer
         self._miner = miner
@@ -85,11 +74,9 @@ class RandomSelector(BaseSelector):
         rng = ensure_rng(self._seed)
         n = len(rows)
         k = min(k, n)
-        deadline = time.perf_counter() + self.time_budget
         best_score = -1.0
         best: tuple[list[int], list[str]] | None = None
-        draws = 0
-        while draws < self.min_draws or time.perf_counter() < deadline:
+        for _ in range(self.max_draws):
             local_rows = rng.choice(n, size=k, replace=False)
             chosen_columns = random_column_choice(rng, columns, l, targets)
             global_rows = rows[local_rows]
@@ -97,10 +84,5 @@ class RandomSelector(BaseSelector):
             if score > best_score:
                 best_score = score
                 best = (sorted(int(i) for i in local_rows), chosen_columns)
-            draws += 1
-            if self.max_draws is not None and draws >= self.max_draws:
-                break
-            if draws >= self.min_draws and time.perf_counter() >= deadline:
-                break
-        assert best is not None  # min_draws >= 1 guarantees at least one draw
+        assert best is not None  # max_draws >= 1 guarantees one draw
         return best

@@ -74,15 +74,12 @@ def run_quality_experiment(
     l: int = 10,
     seed: int = 0,
     n_rows: Optional[int] = None,
-    ran_budget: float = 1.0,
 ) -> QualityResult:
     """Fig. 8: diversity/coverage/combined for SubTab, RAN, NC on 3 datasets."""
     scores: dict = {}
     for name in dataset_names:
         bundle = load_bundle(name, n_rows=n_rows, seed=seed)
-        selectors = prepare_selectors(
-            bundle, selector_kinds, seed=seed, ran_budget=ran_budget
-        )
+        selectors = prepare_selectors(bundle, selector_kinds, seed=seed)
         scorer = bundle.scorer()
         per_selector: dict = {}
         for selector_name, selector in selectors.items():
@@ -126,15 +123,15 @@ def run_slow_baselines_experiment(
     l: int = 10,
     seed: int = 0,
     n_rows: Optional[int] = None,
-    ran_budget: float = 2.0,
     mab_iterations: int = 400,
     greedy_max_combinations: int = 40,
     embdi_walks: int = 3,
 ) -> SlowBaselineResult:
     """Fig. 7: SubTab vs EmbDI vs MAB vs Greedy vs RAN on FL.
 
-    Budgets are scaled versions of the paper's (RAN 60s, MAB/Greedy hours,
-    EmbDI 40-minute pre-processing); the reproduced shape is the ordering:
+    Draw, iteration and subset counts stand in for the paper's time budgets
+    (RAN 60s, MAB/Greedy hours, EmbDI 40-minute pre-processing) at
+    benchmark scale; the reproduced shape is the ordering:
     Greedy >= SubTab ~= EmbDI > MAB on quality, SubTab fastest overall.
     """
     bundle = load_bundle(dataset_name, n_rows=n_rows, seed=seed)
@@ -147,7 +144,6 @@ def run_slow_baselines_experiment(
             kind,
             bundle,
             seed=seed,
-            ran_budget=ran_budget,
             mab_iterations=mab_iterations,
             greedy_max_combinations=greedy_max_combinations,
             embdi_walks=embdi_walks,
@@ -258,7 +254,6 @@ def run_parameter_tuning_experiment(
     l: int = 10,
     seed: int = 0,
     n_rows: Optional[int] = None,
-    ran_budget: float = 1.0,
 ) -> ParameterTuningResult:
     """Fig. 10: vary one rule parameter at a time, default for the rest.
 
@@ -271,9 +266,7 @@ def run_parameter_tuning_experiment(
     for name in dataset_names:
         bundle = load_bundle(name, n_rows=n_rows, seed=seed)
         bundles[name] = bundle
-        selectors = prepare_selectors(
-            bundle, selector_kinds, seed=seed, ran_budget=ran_budget
-        )
+        selectors = prepare_selectors(bundle, selector_kinds, seed=seed)
         subtables[name] = {
             selector_name: selector.select(k=k, l=l)
             for selector_name, selector in selectors.items()
@@ -351,7 +344,6 @@ def run_session_experiment(
     k: int = 10,
     seed: int = 0,
     n_rows: Optional[int] = None,
-    ran_budget: float = 0.05,
 ) -> SessionStudyResult:
     """Fig. 6: replay EDA sessions, test next-query fragments per width.
 
@@ -366,9 +358,7 @@ def run_session_experiment(
         seed=seed,
     )
     sessions = generator.generate(n_sessions, name=dataset_name)
-    selectors = prepare_selectors(
-        bundle, selector_kinds, seed=seed, ran_budget=ran_budget
-    )
+    selectors = prepare_selectors(bundle, selector_kinds, seed=seed)
     rates = {
         name: capture_rates_by_width(selector, sessions, widths, k=k)
         for name, selector in selectors.items()
@@ -424,7 +414,6 @@ def run_user_study_experiment(
     l: int = 10,
     seed: int = 0,
     n_rows: Optional[int] = None,
-    ran_budget: float = 0.5,
     highlighted_datasets: Sequence[str] = ("spotify", "flights"),
 ) -> UserStudyExperimentResult:
     """Table 1 + Fig. 5: simulated analysts explore SP, FL, BL.
@@ -438,9 +427,7 @@ def run_user_study_experiment(
     # One selector set per dataset (prepared on that dataset's binning); the
     # study drives them through a dataset-dispatching shim.
     selectors_by_dataset = {
-        name: prepare_selectors(
-            bundles[name], selector_kinds, seed=seed, ran_budget=ran_budget
-        )
+        name: prepare_selectors(bundles[name], selector_kinds, seed=seed)
         for name in dataset_names
     }
     selector_names = list(next(iter(selectors_by_dataset.values())).keys())

@@ -6,9 +6,9 @@ selectors on the shared binning — so those steps live here.
 
 Scale: the paper runs on a 24-core Xeon against datasets up to 6M rows; the
 benchmarks default to laptop-friendly row counts (hundreds of times smaller)
-and scaled time budgets.  Set the environment variable ``REPRO_SCALE`` to a
-float to multiply all row counts (e.g. ``REPRO_SCALE=5`` for a closer-to-
-paper run).
+and scaled draw/iteration counts.  Set the environment variable
+``REPRO_SCALE`` to a float to multiply all row counts (e.g.
+``REPRO_SCALE=5`` for a closer-to-paper run).
 """
 
 from __future__ import annotations
@@ -106,10 +106,8 @@ def make_selector(
     kind: str,
     bundle: DatasetBundle,
     seed: int = 0,
-    ran_budget: float = 1.0,
     ran_draws: int = 12,
     mab_iterations: int = 200,
-    greedy_budget: Optional[float] = None,
     greedy_max_combinations: Optional[int] = 50,
     embdi_walks: int = 3,
     subtab_config: Optional[SubTabConfig] = None,
@@ -117,7 +115,7 @@ def make_selector(
     """Build + prepare one selector on the bundle's shared binning.
 
     A thin wrapper over the :mod:`repro.api` registry that fills in the
-    benchmark-scale budgets and shares the bundle's scorer/rules so no
+    benchmark-scale counts and shares the bundle's scorer/rules so no
     selector re-mines them.
 
     ``ran_draws`` defaults to 12: at the paper's table sizes one combined-
@@ -129,19 +127,12 @@ def make_selector(
     config = subtab_config or SubTabConfig(seed=seed)
     options: dict = {}
     if kind_lower == "ran":
-        options = dict(
-            time_budget=ran_budget,
-            min_draws=min(30, ran_draws),
-            max_draws=ran_draws,
-            scorer=bundle.scorer(),
-            seed=seed,
-        )
+        options = dict(max_draws=ran_draws, scorer=bundle.scorer(), seed=seed)
     elif kind_lower == "mab":
         options = dict(iterations=mab_iterations, scorer=bundle.scorer(), seed=seed)
     elif kind_lower == "greedy":
         options = dict(
             rules=bundle.scorer().rules,
-            time_budget=greedy_budget,
             max_combinations=greedy_max_combinations,
             order="random",
             seed=seed,
@@ -149,7 +140,6 @@ def make_selector(
     elif kind_lower == "semigreedy":
         options = dict(
             rules=bundle.scorer().rules,
-            time_budget=greedy_budget or 5.0,
             max_combinations=greedy_max_combinations,
             seed=seed,
         )

@@ -1,9 +1,10 @@
 """Seeded random number helpers.
 
-All stochastic components of the library (embedding training, clustering
-restarts, dataset synthesis, baselines) accept either an integer seed or a
-:class:`numpy.random.Generator`.  Centralizing the coercion here keeps every
-experiment reproducible end to end.
+The library's stochastic components (embedding training, clustering
+restarts, dataset synthesis) accept either an integer seed or a
+:class:`numpy.random.Generator`; selectors take an integer seed only and
+build each select's generator from it.  Centralizing the coercion here
+keeps every experiment reproducible end to end.
 """
 
 from __future__ import annotations

@@ -284,6 +284,23 @@ def test_determinism_strict_glob_accepts_seeded_greedy_baselines():
     ) == []
 
 
+def test_determinism_flags_clock_reads_in_baselines():
+    # A selector loop that stops on a deadline answers by host speed.
+    findings = analyse(
+        FIXTURES / "repro" / "baselines" / "clock_determinism_bad.py",
+        "determinism",
+    )
+    assert len(findings) == 6
+    assert all("reads the clock" in f.message for f in findings)
+
+
+def test_determinism_accepts_counted_loops_and_timed_in_baselines():
+    assert analyse(
+        FIXTURES / "repro" / "baselines" / "clock_determinism_good.py",
+        "determinism",
+    ) == []
+
+
 def test_determinism_ensure_rng_default_is_fine_outside_strict_scope(
     tmp_path,
 ):

@@ -7,10 +7,12 @@ artifact persistence (save/load parity, preprocess skipping, stale-artifact
 rejection).
 """
 
+import itertools
 import json
 import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,23 +40,15 @@ from repro.datasets import make_dataset
 from repro.embedding.word2vec import Word2VecConfig
 from repro.queries import Eq, SessionGenerator, SPQuery
 
-# Cheap per-algorithm options so the full-registry sweep stays fast.
+# Cheap per-algorithm counts so the full-registry sweep stays fast.
 FAST_OPTIONS = {
-    "ran": dict(time_budget=0.05, min_draws=3, max_draws=3),
+    "ran": dict(max_draws=3),
     "mab": dict(iterations=10),
     "greedy": dict(max_combinations=5, order="random"),
     "greedy-approx": dict(max_combinations=5, sample_rate=0.5, min_sample=4),
-    "semigreedy": dict(time_budget=0.2, max_combinations=5),
+    "semigreedy": dict(max_combinations=5),
     "embdi": dict(walks_per_node=1, walk_length=6,
                   word2vec=Word2VecConfig(epochs=1, dim=8)),
-}
-
-#: Options under which every selector's loop ends on a count cap before
-#: any clock: a reply must be a function of (artifact, request) alone.
-COUNT_CAPPED_OPTIONS = {
-    **FAST_OPTIONS,
-    "ran": dict(time_budget=3600.0),
-    "semigreedy": dict(time_budget=3600.0, max_combinations=5),
 }
 
 
@@ -238,12 +232,21 @@ class TestEngineServing:
         """Every registered selector, not only the interactive ones,
         answers a repeated uncached request the same way."""
         engine = Engine(name, fast_config,
-                        selector_options=COUNT_CAPPED_OPTIONS.get(name))
+                        selector_options=FAST_OPTIONS.get(name))
         engine.fit(make_dataset("cyber", n_rows=300, seed=0).frame)
         request = SelectionRequest(k=5, l=4, use_cache=False)
         first, second = engine.select(request), engine.select(request)
         assert second.subtable.row_indices == first.subtable.row_indices
         assert second.subtable.columns == first.subtable.columns
+
+    @pytest.mark.parametrize("name", selector_names())
+    def test_generator_seed_is_refused(self, name, fast_config):
+        """A Generator seed would be shared by every select, so a repeated
+        request would draw from where the last one stopped."""
+        with pytest.raises(TypeError, match="int or None"):
+            Engine(name, fast_config, selector_options=dict(
+                FAST_OPTIONS.get(name, {}), seed=np.random.default_rng(0),
+            ))
 
     def test_request_and_kwargs_are_exclusive(self, subtab_engine):
         with pytest.raises(TypeError):
@@ -460,7 +463,7 @@ class TestConcurrentDifferential:
     def test_engine_replies_match_serial(self, name, fast_config,
                                          cyber_frame):
         engine = Engine(name, fast_config,
-                        selector_options=COUNT_CAPPED_OPTIONS.get(name))
+                        selector_options=FAST_OPTIONS.get(name))
         engine.fit(cyber_frame)
         requests = _request_mix(engine, seed=1)
         serial = [_outcome(engine.select, request) for request in requests]
@@ -485,6 +488,26 @@ class TestConcurrentDifferential:
                   for request in requests]
         # A fresh workspace: the racing threads also fault the engines in.
         assert not _race(Workspace(store).select, requests, serial)
+
+
+class TestClockIndependence:
+    """No selector's reply depends on the clock: with every clock read an
+    hour after the last, each request gets its real-time reply."""
+
+    @pytest.mark.parametrize("name", selector_names())
+    def test_reply_ignores_a_jumping_clock(self, name, fast_config,
+                                           monkeypatch):
+        # RAN at its registry defaults (60 draws); the rest at test counts.
+        options = {} if name == "ran" else FAST_OPTIONS.get(name)
+        engine = Engine(name, fast_config, selector_options=options)
+        engine.fit(make_dataset("cyber", n_rows=300, seed=0).frame)
+        requests = _request_mix(engine, seed=2)
+        real = [_outcome(engine.select, request) for request in requests]
+        hours = itertools.count(3600.0, 3600.0)
+        monkeypatch.setattr(time, "perf_counter", lambda: next(hours))
+        monkeypatch.setattr(time, "monotonic", lambda: next(hours))
+        jumped = [_outcome(engine.select, request) for request in requests]
+        assert jumped == real
 
 
 class TestArtifactRoundTrip:

@@ -5,10 +5,10 @@ same request stream replayed through an ``InProcessBackend``, a
 ``RemoteBackend`` (socket to a subprocess server), a 2-member
 ``ClusterRouter`` and a ring nested inside a ring produces
 **bit-identical** responses (wire form minus timing/cache metadata, which
-legitimately differ per path).  Holds for any selector whose ``select`` is
-a pure function of the request — subtab is; order-sensitive baselines
-(those that still keep a generator on the selector) are excluded by
-construction.
+legitimately differ per path).  The stream runs through every
+``interactive=True`` registry entry (subtab, ran, nc, greedy-approx),
+each served from the one saved artifact with ``algorithm=``: a reply is
+a function of the artifact and the request, whatever the selector.
 
 The asyncio transport extends the matrix without changing the wire
 format, so the full client x server grid must agree: sync client →
@@ -16,7 +16,7 @@ async server, pipelined client → sync server, pipelined client → async
 server, and a cluster reading from replicas (``round_robin``) — all bit-
 identical to the in-process stream.
 
-Also here: the replica-failover half of the satellite — kill one cluster
+Also here, serving subtab alone: replica failover — kill one cluster
 member mid-stream and the stream still completes, bit-identically — and
 the cancellation/slow-member behavior of the pipelined client.
 """
@@ -26,7 +26,13 @@ import time
 
 import pytest
 
-from repro.api import SelectionRequest, SelectionResponse
+from repro.api import (
+    Engine,
+    SelectionRequest,
+    SelectionResponse,
+    selector_names,
+    selector_spec,
+)
 from repro.queries.ops import SPQuery
 from repro.queries.predicates import Eq, InRange
 from repro.serve import (
@@ -39,6 +45,11 @@ from repro.serve import (
     SocketServer,
     spawn_artifact_server,
 )
+
+
+#: The registry entries fast enough to serve per display (paper Sec. 6.1).
+INTERACTIVE = [name for name in selector_names()
+               if selector_spec(name).interactive]
 
 
 @pytest.fixture(scope="module")
@@ -72,99 +83,126 @@ def _contents(responses) -> list:
 
 @pytest.fixture(scope="module")
 def expected(subtab_artifact, stream):
-    backend = InProcessBackend.from_artifact(subtab_artifact)
-    return _contents(backend.select_many(stream))
+    """Per interactive algorithm, the in-process replies to ``stream``."""
+    return {
+        algorithm: _contents(InProcessBackend.from_artifact(
+            subtab_artifact, algorithm=algorithm
+        ).select_many(stream))
+        for algorithm in INTERACTIVE
+    }
+
+
+def _pair(artifact, algorithm):
+    """Two in-process members loaded from ``artifact``."""
+    return [
+        (name, InProcessBackend.from_artifact(artifact, algorithm=algorithm))
+        for name in ("a", "b")
+    ]
 
 
 class TestEquivalence:
     def test_remote_backend_matches(self, subtab_artifact, stream, expected):
-        with spawn_artifact_server(subtab_artifact) as server:
-            remote = server.connect()
-            assert _contents(remote.select_many(stream)) == expected
-            remote.close()
+        for algorithm in INTERACTIVE:
+            with spawn_artifact_server(subtab_artifact,
+                                       algorithm=algorithm) as server:
+                remote = server.connect()
+                assert (_contents(remote.select_many(stream))
+                        == expected[algorithm]), algorithm
+                remote.close()
 
     def test_two_member_cluster_matches(self, subtab_artifact, stream,
                                         expected):
-        members = [
-            ("a", InProcessBackend.from_artifact(subtab_artifact)),
-            ("b", InProcessBackend.from_artifact(subtab_artifact)),
-        ]
-        with ClusterRouter(members, replication=2) as cluster:
-            assert _contents(cluster.select_many(stream)) == expected
-            spread = {m["name"]: m["served"] for m in cluster.stats()["members"]}
-        assert all(count > 0 for count in spread.values()), spread
+        for algorithm in INTERACTIVE:
+            with ClusterRouter(_pair(subtab_artifact, algorithm),
+                               replication=2) as cluster:
+                assert (_contents(cluster.select_many(stream))
+                        == expected[algorithm]), algorithm
+                spread = {m["name"]: m["served"]
+                          for m in cluster.stats()["members"]}
+            assert all(count > 0 for count in spread.values()), spread
 
     def test_nested_cluster_of_socket_and_cluster_matches(
         self, subtab_artifact, stream, expected
     ):
         # The topology-nesting claim, end to end: a cluster whose members
         # are a remote socket server and a ring of its own.
-        with spawn_artifact_server(subtab_artifact) as server:
-            inner = ClusterRouter([
-                ("a", InProcessBackend.from_artifact(subtab_artifact)),
-                ("b", InProcessBackend.from_artifact(subtab_artifact)),
-            ])
-            members = [("socket", server.connect()), ("ring", inner)]
-            with ClusterRouter(members, replication=2) as cluster:
-                assert _contents(cluster.select_many(stream)) == expected
+        for algorithm in INTERACTIVE:
+            with spawn_artifact_server(subtab_artifact,
+                                       algorithm=algorithm) as server:
+                inner = ClusterRouter(_pair(subtab_artifact, algorithm))
+                members = [("socket", server.connect()), ("ring", inner)]
+                with ClusterRouter(members, replication=2) as cluster:
+                    assert (_contents(cluster.select_many(stream))
+                            == expected[algorithm]), algorithm
 
 
 class TestAsyncEquivalence:
     """The transport interop grid: one stream, both clients, both servers,
     and read-from-replica routing — all bit-identical."""
 
-    def test_sync_client_async_server_matches(self, fitted_engine, stream,
-                                              expected):
-        with AsyncSocketServer(InProcessBackend(fitted_engine)).start() \
-                as server:
-            remote = RemoteBackend(server.address)
-            assert _contents(remote.select_many(stream)) == expected
-            remote.close()
+    def test_sync_client_async_server_matches(self, subtab_artifact,
+                                              stream, expected):
+        for algorithm in INTERACTIVE:
+            engine = Engine.load(subtab_artifact, algorithm=algorithm)
+            with AsyncSocketServer(InProcessBackend(engine)).start() \
+                    as server:
+                remote = RemoteBackend(server.address)
+                assert (_contents(remote.select_many(stream))
+                        == expected[algorithm]), algorithm
+                remote.close()
 
-    def test_async_client_sync_server_matches(self, fitted_engine, stream,
-                                              expected):
-        server = SocketServer(InProcessBackend(fitted_engine)).start()
-        try:
-            remote = AsyncRemoteBackend(server.address, window=3)
-            assert _contents(remote.select_many(stream)) == expected
-            remote.close()
-        finally:
-            server.close()
+    def test_async_client_sync_server_matches(self, subtab_artifact,
+                                              stream, expected):
+        for algorithm in INTERACTIVE:
+            engine = Engine.load(subtab_artifact, algorithm=algorithm)
+            server = SocketServer(InProcessBackend(engine)).start()
+            try:
+                remote = AsyncRemoteBackend(server.address, window=3)
+                assert (_contents(remote.select_many(stream))
+                        == expected[algorithm]), algorithm
+                remote.close()
+            finally:
+                server.close()
 
-    def test_async_client_async_server_matches(self, fitted_engine, stream,
-                                               expected):
-        with AsyncSocketServer(InProcessBackend(fitted_engine)).start() \
-                as server:
-            remote = AsyncRemoteBackend(server.address)
-            assert _contents(remote.select_many(stream)) == expected
-            remote.close()
+    def test_async_client_async_server_matches(self, subtab_artifact,
+                                               stream, expected):
+        for algorithm in INTERACTIVE:
+            engine = Engine.load(subtab_artifact, algorithm=algorithm)
+            with AsyncSocketServer(InProcessBackend(engine)).start() \
+                    as server:
+                remote = AsyncRemoteBackend(server.address)
+                assert (_contents(remote.select_many(stream))
+                        == expected[algorithm]), algorithm
+                remote.close()
 
     def test_async_subprocess_member_matches(self, subtab_artifact, stream,
                                              expected):
         # The spawned-member path the benchmarks use: an asyncio server
         # in a child process, spoken to by the pipelined client.
-        with spawn_artifact_server(subtab_artifact,
-                                   transport="asyncio") as server:
-            remote = server.connect_pipelined()
-            assert _contents(remote.select_many(stream)) == expected
-            remote.close()
+        for algorithm in INTERACTIVE:
+            with spawn_artifact_server(subtab_artifact, algorithm=algorithm,
+                                       transport="asyncio") as server:
+                remote = server.connect_pipelined()
+                assert (_contents(remote.select_many(stream))
+                        == expected[algorithm]), algorithm
+                remote.close()
 
     def test_round_robin_replica_cluster_matches(self, subtab_artifact,
                                                  stream, expected):
         # Reads spread across the replica set must not change a byte —
         # and with replication=2 over 2 members, both actually serve.
-        members = [
-            ("a", InProcessBackend.from_artifact(subtab_artifact)),
-            ("b", InProcessBackend.from_artifact(subtab_artifact)),
-        ]
-        with ClusterRouter(members, replication=2,
-                           replica_policy="round_robin") as cluster:
-            assert _contents(cluster.select_many(stream)) == expected
-            assert _contents([cluster.select(r) for r in stream]) == expected
-            stats = cluster.stats()
-        spread = {m["name"]: m["served"] for m in stats["members"]}
-        assert all(count > 0 for count in spread.values()), spread
-        assert stats["failovers"] == 0
+        for algorithm in INTERACTIVE:
+            with ClusterRouter(_pair(subtab_artifact, algorithm),
+                               replication=2,
+                               replica_policy="round_robin") as cluster:
+                assert (_contents(cluster.select_many(stream))
+                        == expected[algorithm]), algorithm
+                assert (_contents([cluster.select(r) for r in stream])
+                        == expected[algorithm]), algorithm
+                stats = cluster.stats()
+            spread = {m["name"]: m["served"] for m in stats["members"]}
+            assert all(count > 0 for count in spread.values()), spread
+            assert stats["failovers"] == 0
 
 
 class TestPipelinedCancellation:
@@ -226,7 +264,7 @@ class TestPipelinedCancellation:
         try:
             os.kill(hung.process.pid, signal_module.SIGSTOP)
             responses = cluster.select_many(stream)
-            assert _contents(responses) == expected
+            assert _contents(responses) == expected["subtab"]
             dead = {m["name"]: m["dead"]
                     for m in cluster.stats()["members"]}
             assert dead["live"] is False
@@ -251,8 +289,8 @@ class TestReplicaFailover:
             first = cluster.select_many(stream)
             doomed.kill()  # a member host dies mid-session
             second = cluster.select_many(stream)
-            assert _contents(first) == expected
-            assert _contents(second) == expected
+            assert _contents(first) == expected["subtab"]
+            assert _contents(second) == expected["subtab"]
             stats = cluster.stats()
             dead = {m["name"]: m["dead"] for m in stats["members"]}
             if any(dead.values()):  # the doomed member actually took traffic
@@ -273,5 +311,5 @@ class TestReplicaFailover:
                                     replication=2)
             server.kill()
             responses = [cluster.select(request) for request in stream]
-            assert _contents(responses) == expected
+            assert _contents(responses) == expected["subtab"]
             cluster.close()

@@ -36,8 +36,7 @@ def prepared(selector, planted_binned):
 
 class TestCommonProtocol:
     @pytest.mark.parametrize("factory", [
-        lambda s: RandomSelector(time_budget=0.05, min_draws=5, max_draws=5,
-                                 scorer=s, seed=0),
+        lambda s: RandomSelector(max_draws=5, scorer=s, seed=0),
         lambda s: NaiveClusteringSelector(seed=0),
         lambda s: MABSelector(iterations=20, scorer=s, seed=0),
     ])
@@ -60,8 +59,7 @@ class TestCommonProtocol:
 
     def test_targets_forced(self, scorer, planted_binned):
         selector = prepared(
-            RandomSelector(time_budget=0.05, min_draws=3, max_draws=3,
-                           scorer=scorer, seed=0),
+            RandomSelector(max_draws=3, scorer=scorer, seed=0),
             planted_binned,
         )
         result = selector.select(k=3, l=2, targets=["OUTCOME"])
@@ -71,13 +69,11 @@ class TestCommonProtocol:
 class TestRandomSelector:
     def test_more_draws_never_worse(self, scorer, planted_binned):
         few = prepared(
-            RandomSelector(time_budget=5.0, min_draws=3, max_draws=3,
-                           scorer=scorer, seed=7),
+            RandomSelector(max_draws=3, scorer=scorer, seed=7),
             planted_binned,
         ).select(k=5, l=3)
         many = prepared(
-            RandomSelector(time_budget=5.0, min_draws=40, max_draws=40,
-                           scorer=scorer, seed=7),
+            RandomSelector(max_draws=40, scorer=scorer, seed=7),
             planted_binned,
         ).select(k=5, l=3)
         score_few = scorer.combined(few.row_indices, few.columns)
@@ -86,10 +82,10 @@ class TestRandomSelector:
         assert score_many >= score_few - 1e-12
 
     def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            RandomSelector(time_budget=0.0)
-        with pytest.raises(ValueError):
-            RandomSelector(min_draws=10, max_draws=5)
+        # The draw count is the only thing that ends RAN's loop.
+        for max_draws in (None, 0, -1):
+            with pytest.raises(ValueError, match="max_draws"):
+                RandomSelector(max_draws=max_draws)
 
 
 class TestNaiveClustering:
@@ -136,12 +132,23 @@ class TestGreedy:
         result = selector.select(k=4, l=3)
         assert result.shape == (4, 3)
 
-    def test_semi_greedy_any_time(self, scorer, planted_binned):
-        selector = SemiGreedySelector(rules=scorer.rules, time_budget=0.2,
-                                      max_combinations=3, seed=0)
-        prepared(selector, planted_binned)
+    def test_semi_greedy_stops_on_count(self, scorer, planted_binned):
+        assert SemiGreedySelector().max_combinations == 50
+        subsets = []
+
+        class Counting(SemiGreedySelector):
+            def _row_selection(self, evaluator, columns, *rest):
+                subsets.append(columns)
+                return super()._row_selection(evaluator, columns, *rest)
+
+        selector = prepared(
+            Counting(rules=scorer.rules, max_combinations=3, seed=0),
+            planted_binned,
+        )
         result = selector.select(k=3, l=3)
         assert result.shape == (3, 3)
+        # C(5, 3) = 10 subsets exist; the count stops the walk at 3.
+        assert len(subsets) == 3
 
 
 class TestMAB:

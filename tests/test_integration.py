@@ -79,9 +79,7 @@ def test_fair_selection_on_loans():
 def test_selectors_agree_on_interface_constraints():
     """Every prepared selector respects dimensions, targets, and row bounds."""
     bundle = load_bundle("loans", n_rows=500, seed=5)
-    selectors = prepare_selectors(
-        bundle, ["subtab", "ran", "nc"], seed=5, ran_budget=0.2,
-    )
+    selectors = prepare_selectors(bundle, ["subtab", "ran", "nc"], seed=5)
     for name, selector in selectors.items():
         result = selector.select(k=5, l=4, targets=["LOAN_STATUS"])
         assert result.shape == (5, 4), name
