@@ -15,7 +15,7 @@ from entry bytes must be byte-identical to cold replies, and the
 dispatcher must see exactly the cache misses — never a shed or cached
 request.
 
-Four gates:
+Five gates:
 
 1. **bit-identical** — every generated session request served through
    ``urllib -> gateway -> cluster -> asyncio store server`` matches the
@@ -32,7 +32,14 @@ Four gates:
    ``Retry-After``, before any of the shed requests reach the backend;
 4. **304 revalidation** — a conditional request with the ``ETag`` a
    cold reply returned comes back ``304 Not Modified`` with an empty
-   body, without touching the backend.
+   body, without touching the backend;
+5. **generation bump through the ring** — a second generation saved
+   under the same name into the shared store reaches the gateway
+   through the ring's nested member stats: after one ``GET /v1/stats``
+   teaches the cache, the next shows ``gateway.cache.stale`` >= 1.
+   Only the drop is checked: the spawned store servers keep the old
+   engine resident (nothing evicts it over the wire), so a miss after
+   the bump is still computed on the old generation.
 
 Runs in CI and locally: ``python scripts/ci/http_smoke.py``.
 """
@@ -79,10 +86,20 @@ def _post(base: str, path: str, payload: dict, key: str,
         return error.code, dict(error.headers), body
 
 
+def _stats(base: str, key: str) -> dict:
+    """The ``stats`` document of one authenticated ``GET /v1/stats``."""
+    request = urllib.request.Request(
+        f"{base}/v1/stats", headers={"Authorization": f"Bearer {key}"},
+    )
+    with urllib.request.urlopen(request, timeout=120) as response:
+        return json.loads(response.read().decode("utf-8"))["stats"]
+
+
 def main() -> int:
     artifact = ensure_artifact()
 
     from repro.api import ArtifactStore, Engine, SelectionResponse
+    from repro.datasets import make_dataset
     from repro.gateway import HttpGateway, TenantRegistry, TenantSpec
     from repro.serve import ClusterRouter
     from repro.serve.transport import spawn_store_server
@@ -197,6 +214,17 @@ def main() -> int:
             f"every dispatch but the traced probe must be a cache miss: "
             f"{dispatched} dispatched vs {cache_misses} misses"
         )
+
+        # -- gate 5: a generation bump reaches the gateway via the ring ---
+        ArtifactStore(root).save(DATASET, Engine(config=engine.config).fit(
+            make_dataset(DATASET, n_rows=150, seed=2).frame
+        ))
+        _stats(base, "smoke-key")  # teaches the cache the new generation
+        stale = _stats(base, "smoke-key")["gateway"]["cache"]["stale"]
+        assert stale >= 1, (
+            f"a saved generation must drop the cached replies of the old "
+            f"one: gateway.cache.stale is {stale}"
+        )
     finally:
         if gateway is not None:
             gateway.close()   # own_backend: closes cluster + members too
@@ -212,7 +240,8 @@ def main() -> int:
           f"({cache_hits} served from the response cache); trace "
           f"smoke-trace-1 crossed {len(stages)} stages; burst tenant shed "
           f"{statuses.count(429)}/5 with Retry-After; conditional request "
-          f"revalidated with 304 "
+          f"revalidated with 304; a generation bump dropped {stale} cached "
+          f"replies "
           f"(volatile fields excluded: {', '.join(VOLATILE_FIELDS)})")
     return 0
 

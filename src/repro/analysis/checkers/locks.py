@@ -25,7 +25,6 @@ suppress with ``# reprolint: ignore[lock-discipline]`` and a reason.
 from __future__ import annotations
 
 import ast
-from typing import Optional
 
 from repro.analysis.framework import (
     Checker,

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.binning.base import Bin, ColumnBinning
-from repro.binning.pipeline import BinnedTable, fingerprint_vocab
+from repro.binning.pipeline import BinnedTable
 from repro.core.config import SubTabConfig
 from repro.embedding.model import CellEmbeddingModel
 from repro.frame.column import Column

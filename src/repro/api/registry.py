@@ -181,7 +181,7 @@ register_selector(
 register_selector(
     "greedy-approx", _make_greedy_approx, interactive=True,
     aliases=("greedy_approx", "stochastic-greedy"),
-    description="Greedy (Sec. 4): sampled row stage, (1-1/e-eps) expected",
+    description="Greedy (Sec. 4): sampled row stage over 50 column subsets",
 )
 register_selector(
     "mab", _make_mab,

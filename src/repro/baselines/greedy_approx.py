@@ -111,9 +111,13 @@ def stochastic_greedy_row_selection(
 class ApproxGreedySelector(GreedySelector):
     """Greedy with the Section-4 sampled row stage.
 
-    Column-subset enumeration and ``max_combinations`` come from
-    :class:`GreedySelector`; only the row stage differs.  The
-    quality-vs-latency dial:
+    Column-subset enumeration comes from :class:`GreedySelector`; only the
+    row stage differs.  ``max_combinations`` defaults to 50 subsets, as
+    :class:`~repro.baselines.greedy.SemiGreedySelector` does: the selector
+    is interactive, and a wide table has hundreds of thousands of
+    subsets.  In the default lexicographic order those 50 are the first
+    in table column order: on a 26-column table at ``l=7`` each of them
+    holds the first five free columns.  The quality-vs-latency dial:
 
     - ``sample_rate``: fixed fraction of the candidate pool per pick
       (bench sweeps use this for an interpretable x-axis);
@@ -129,7 +133,7 @@ class ApproxGreedySelector(GreedySelector):
         self,
         rules: Optional[Sequence[AssociationRule]] = None,
         miner: Optional[RuleMiner] = None,
-        max_combinations: Optional[int] = None,
+        max_combinations: Optional[int] = 50,
         order: str = "lexicographic",
         seed=None,
         binner=None,

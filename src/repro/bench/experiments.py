@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.bench.harness import (
-    DatasetBundle,
     load_bundle,
     make_selector,
     prepare_selectors,
@@ -24,7 +23,6 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_bars, format_series, format_table
 from repro.binning.normalize import normalize_table
 from repro.binning.pipeline import TableBinner
-from repro.metrics.combined import Scores, SubTableScorer
 from repro.metrics.coverage import CoverageEvaluator
 from repro.queries.generator import SessionGenerator
 from repro.queries.replay import capture_rates_by_width
@@ -32,7 +30,6 @@ from repro.rules.miner import RuleMiner
 from repro.study.analyst import SimulatedAnalyst
 from repro.study.insights import judge_insight
 from repro.study.ratings import average_ratings, rate_subtable
-from repro.study.user_study import run_user_study
 from repro.utils.rng import ensure_rng, spawn_rng
 
 INTERACTIVE_SELECTORS = ("subtab", "ran", "nc")

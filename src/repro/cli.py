@@ -324,9 +324,10 @@ def _start_stats_reporter(server, interval: float):
     each.
 
     Returns a stop callable (``None`` when ``interval`` is off).  The
-    snapshots include the backend's ``metrics`` section — counters and
-    latency histograms from :mod:`repro.obs` — so a long-running server
-    leaves a scrapeable trail on stdout without any client asking.  Each
+    snapshots include the backend's ``metrics`` section and the
+    dispatcher's registry under ``dispatcher`` — counters and latency
+    histograms from :mod:`repro.obs` — so a long-running server leaves a
+    scrapeable trail on stdout without any client asking.  Each
     snapshot is a ``stats`` op through the server's dispatcher, so it is
     served like any client's: under the dispatcher's lock, which keeps it
     from reading the backend's unguarded ``_account`` counters mid-update.

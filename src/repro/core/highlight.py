@@ -9,7 +9,7 @@ by confidence), assign rules distinct colors, and decorate the rendered grid.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.result import SubTable
 from repro.metrics.coverage import CoverageEvaluator

@@ -19,7 +19,7 @@ add in input order and so handle repeated tokens within a batch exactly;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

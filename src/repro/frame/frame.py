@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.frame.column import CATEGORICAL, NUMERIC, Column
+from repro.frame.column import CATEGORICAL, Column
 from repro.utils.rng import ensure_rng
 
 

@@ -16,8 +16,7 @@ Routes
 POST    ``/v1/select``         body: one ``SelectionRequest`` wire object
 POST    ``/v1/select_many``    body: ``{"requests": [wire, ...]}``
 GET     ``/v1/stream/session`` chunked JSON lines, one per session step
-GET     ``/v1/stats``          backend stats snapshot
-GET     ``/v1/metrics``        gateway + dispatcher + backend metrics
+GET     ``/v1/stats``          backend stats + ``dispatcher`` + ``gateway``
 GET     ``/v1/healthz``        liveness (no auth)
 ======  =====================  ===========================================
 
@@ -477,51 +476,25 @@ class GatewayApp:
 
         return StreamingResponse(lines())
 
-    def gateway_info(self) -> dict:
-        """Front-door accounting: admission, auth, and cache state.
-
-        Rides ``/v1/stats`` under ``stats.gateway`` so a client-side
-        operator sees shed and hit rates, not only the proxied backend
-        envelope."""
-        return {
-            "requests": self.metrics.counter("gateway.requests").value,
-            "admission": {
-                "max_inflight": self.admission.max_inflight,
-                "inflight": self.admission.inflight,
-                "rejected": self.metrics.counter(
-                    "gateway.admission.rejected").value,
-            },
-            "auth": {
-                "unauthorized": self.metrics.counter(
-                    "gateway.auth.unauthorized").value,
-                "forbidden": self.metrics.counter(
-                    "gateway.auth.forbidden").value,
-            },
-            "cache": None if self.cache is None else self.cache.info(),
-        }
-
     async def _stats(self, request: HttpRequest, tenant: TenantSpec,
                      trace_id: Optional[str], started: float,
                      ) -> HttpResponse:
         reply = await self._dispatch({"op": "stats"}, trace_id)
         if reply.get("ok"):
-            reply["stats"]["gateway"] = self.gateway_info()
+            # The front door's own accounting: shed, auth and request
+            # counters live in its registry (``gateway.*``).
+            reply["stats"]["gateway"] = {
+                "metrics": self.metrics.snapshot(),
+                "admission": {
+                    "max_inflight": self.admission.max_inflight,
+                    "inflight": self.admission.inflight,
+                },
+                "cache": None if self.cache is None else self.cache.info(),
+            }
             if self.cache is not None:
                 # A stats round trip already paid for the snapshot:
                 # let the cache learn the generations it carries.
                 self.cache.observe_stats(reply["stats"])
-        return HttpResponse(self._reply_status(reply), reply)
-
-    async def _metrics(self, request: HttpRequest, tenant: TenantSpec,
-                       trace_id: Optional[str], started: float,
-                       ) -> HttpResponse:
-        reply = await self._dispatch({"op": "metrics"}, trace_id)
-        if reply.get("ok"):
-            reply["metrics"]["gateway"] = self.metrics.snapshot()
-            reply["metrics"]["admission"] = {
-                "max_inflight": self.admission.max_inflight,
-                "inflight": self.admission.inflight,
-            }
         return HttpResponse(self._reply_status(reply), reply)
 
     _ROUTES = {
@@ -529,7 +502,6 @@ class GatewayApp:
         ("POST", "/v1/select_many"): "_select_many",
         ("GET", "/v1/stream/session"): "_stream_session",
         ("GET", "/v1/stats"): "_stats",
-        ("GET", "/v1/metrics"): "_metrics",
     }
 
     _PATHS = {path for _method, path in _ROUTES} | {"/v1/healthz"}

@@ -30,8 +30,8 @@ evictions counted) and an optional per-tenant quota
 (``TenantSpec.cache_quota``) so one chatty tenant cannot evict
 everyone else's working set.  Counters live in a shared
 :class:`~repro.obs.MetricsRegistry` under ``cache.*`` (hits, misses,
-evictions, stale drops, revalidations, stores), so ``/v1/metrics`` and
-``/v1/stats`` expose hit rates without extra plumbing.
+evictions, stale drops, revalidations, stores), so ``/v1/stats``
+exposes hit rates without extra plumbing.
 
 All state mutates under one lock; the cache is safe to hammer from the
 gateway's dispatch threads and the asyncio handler simultaneously.
@@ -101,11 +101,12 @@ def extract_fingerprints(stats: object) -> dict:
     """Every ``{dataset: fingerprint}`` map found in a stats snapshot.
 
     Backends nest: an :class:`~repro.gateway.client.HttpBackend` carries
-    the server's stats under ``"server"``, a cluster carries member
-    stats under ``"members"``.  This walks the whole document and merges
-    every ``"fingerprints"`` section it finds; if two sections disagree
-    about a dataset (mid-rollout replicas), the merged value becomes
-    :data:`FINGERPRINT_CONFLICT`, which matches nothing.
+    the server's stats under ``"server"``, a cluster carries each
+    member's stats under ``members[i]["stats"]``.  This walks the whole
+    document and merges every ``"fingerprints"`` section it finds; if
+    two sections disagree about a dataset (mid-rollout replicas), the
+    merged value becomes :data:`FINGERPRINT_CONFLICT`, which matches
+    nothing.
     """
     found: dict = {}
 

@@ -344,11 +344,6 @@ class HttpBackend(BaseBackend):
         """The gateway's liveness document (no auth required)."""
         return self._call("GET", "/v1/healthz")
 
-    def server_metrics(self) -> dict:
-        """The gateway-side telemetry snapshot (``/v1/metrics``):
-        gateway, dispatcher, backend, and admission sections."""
-        return self._call("GET", "/v1/metrics")["metrics"]
-
     def stats(self) -> dict:
         payload = super().stats()
         payload["address"] = self.address
@@ -356,13 +351,6 @@ class HttpBackend(BaseBackend):
             payload["server"] = self._call("GET", "/v1/stats")["stats"]
         except (BackendError, KeyError):
             payload["server"] = None
-        # Surface the front door's own accounting (admission shed
-        # counts, cache hit rates) at the top level: operators reading
-        # client-side stats should not have to know the envelope nests
-        # it under server.gateway.
-        server = payload["server"]
-        payload["gateway"] = (server.get("gateway")
-                              if isinstance(server, dict) else None)
         return payload
 
     def close(self) -> None:

@@ -12,7 +12,7 @@ study tests against the previous step's sub-table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.frame.frame import DataFrame
 from repro.queries.ops import GroupByOp, SPQuery, SortOp

@@ -842,14 +842,6 @@ class AsyncRemoteBackend(BaseBackend):
         (reply,), _ = self._stream([{"op": "ping"}])
         return bool(reply.get("ok"))
 
-    def server_metrics(self) -> dict:
-        """The server-side telemetry snapshot (``metrics`` op):
-        ``{"dispatcher": ..., "backend": ...}`` registry snapshots."""
-        (reply,), _ = self._stream([{"op": "metrics"}])
-        if not reply.get("ok"):
-            raise reply_error(reply)
-        return reply["metrics"]
-
     def stats(self) -> dict:
         payload = super().stats()
         payload["address"] = self.address

@@ -98,18 +98,12 @@ class ReplicaPolicy:
 
     name = "policy"
 
-    def order(self, indices: Sequence[int],
+    def order(self, point: int, indices: Sequence[int],
               members: Sequence[_Member]) -> list:
-        """A permutation of ``indices`` (ring order in, serve order out)."""
+        """A permutation of ``indices`` (ring order in, serve order out).
+        ``point`` is the request's ring point; content-affine policies
+        (``hash``) key on it."""
         raise NotImplementedError
-
-    def order_at(self, point: int, indices: Sequence[int],
-                 members: Sequence[_Member]) -> list:
-        """Like :meth:`order`, but with the request's ring point available
-        — content-affine policies (``hash``) key on it.  The default
-        delegates to :meth:`order`, so point-blind policies (including
-        third-party two-argument subclasses) need not know it exists."""
-        return self.order(indices, members)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -121,7 +115,7 @@ class PrimaryPolicy(ReplicaPolicy):
 
     name = "primary"
 
-    def order(self, indices, members):
+    def order(self, point, indices, members):
         return list(indices)
 
 
@@ -142,7 +136,7 @@ class RoundRobinPolicy(ReplicaPolicy):
         self._lock = threading.Lock()
         self._cursors: dict = {}
 
-    def order(self, indices, members):
+    def order(self, point, indices, members):
         indices = list(indices)
         key = tuple(indices)
         with self._lock:
@@ -169,10 +163,7 @@ class HashPolicy(ReplicaPolicy):
 
     name = "hash"
 
-    def order(self, indices, members):
-        return list(indices)  # no point, no preference: ring order
-
-    def order_at(self, point, indices, members):
+    def order(self, point, indices, members):
         indices = list(indices)
         turn = point % len(indices)
         return indices[turn:] + indices[:turn]
@@ -189,7 +180,7 @@ class LeastInflightPolicy(ReplicaPolicy):
 
     name = "least_inflight"
 
-    def order(self, indices, members):
+    def order(self, point, indices, members):
         ranked = sorted(
             range(len(indices)),
             key=lambda position: (members[indices[position]].inflight,
@@ -344,15 +335,12 @@ class ClusterRouter(BaseBackend):
         return chosen
 
     def _attempt_order(self, indices: Sequence[int],
-                       point: Optional[int] = None) -> list[int]:
-        """The serve order of a replica set: the replica policy picks who
-        reads, then live replicas come before suspects (a recovered member
-        gets another chance only once every live replica has failed too)."""
-        if point is not None:
-            ordered = self.replica_policy.order_at(point, indices,
-                                                   self._members)
-        else:
-            ordered = self.replica_policy.order(indices, self._members)
+                       point: int) -> list[int]:
+        """The serve order of a replica set, for a request at ring
+        ``point``: the replica policy picks who reads, then live replicas
+        come before suspects (a recovered member gets another chance only
+        once every live replica has failed too)."""
+        ordered = self.replica_policy.order(point, indices, self._members)
         live = [i for i in ordered if not self._members[i].dead]
         dead = [i for i in ordered if self._members[i].dead]
         return live + dead
@@ -568,9 +556,20 @@ class ClusterRouter(BaseBackend):
 
     # -- introspection / lifecycle ------------------------------------------
     def stats(self) -> dict:
+        """The routing counters, with each member's own ``stats()`` nested
+        under ``members[i]["stats"]``: one snapshot then carries every
+        member's artifact fingerprints, which a response cache in front
+        of the ring invalidates on.  A member marked dead nests ``None``
+        and is not called: routing tries it only after every live replica
+        failed, and a down host would cost its connect timeout on every
+        poll.  A select it serves, or :meth:`revive`, brings it back."""
         payload = super().stats()
         with self._suspect_lock:  # _count_traffic mutates concurrently
             traffic = dict(self._dataset_traffic)
+            dead = [member.dead for member in self._members]
+        # Member calls may block on a socket: never under _suspect_lock.
+        member_stats = [None if is_dead else member.backend.stats()
+                        for member, is_dead in zip(self._members, dead)]
         payload.update({
             "replication": self.replication,
             "dataset_replication": dict(self.dataset_replication),
@@ -591,10 +590,12 @@ class ClusterRouter(BaseBackend):
                     "served": member.served,
                     "errors": member.errors,
                     "inflight": member.inflight,
-                    "dead": member.dead,
+                    "dead": is_dead,
                     "last_error": member.last_error,
+                    "stats": nested,
                 }
-                for member in self._members
+                for member, is_dead, nested
+                in zip(self._members, dead, member_stats)
             ],
         })
         return payload

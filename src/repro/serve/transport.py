@@ -31,9 +31,9 @@ Operations (client → server)
 ----------------------------
 =================  =====================================================
 ``ping``           liveness probe → ``{"ok": true}``
-``stats``          the hosted backend's stats → ``{"ok": true, "stats"}``
-``metrics``        dispatcher + backend telemetry → ``{"ok": true,
-                   "metrics"}``
+``stats``          the hosted backend's stats plus the dispatcher's
+                   registry under ``"dispatcher"`` → ``{"ok": true,
+                   "stats"}``
 ``select``         one request wire dict → ``{"ok": true, "response"}``
 ``select_many``    request wire dicts → ``{"ok": true, "results": [...]}``
 =================  =====================================================
@@ -187,8 +187,9 @@ class BackendDispatcher:
         self.backend = backend
         self._lock = threading.Lock()
         #: Server-side telemetry: per-op counters plus ``trace.<stage>``
-        #: timing histograms for traced requests.  Exposed by the
-        #: ``metrics`` op and the CLI's ``--stats-interval`` dump.
+        #: timing histograms for traced requests.  The ``stats`` op
+        #: reports it under ``"dispatcher"``, so the CLI's
+        #: ``--stats-interval`` dump and ``/v1/stats`` show it.
         self.metrics = MetricsRegistry()
 
     def handle_message(self, message) -> dict:
@@ -228,13 +229,9 @@ class BackendDispatcher:
             return {"ok": True, "op": "ping"}
         if op == "stats":
             with self._lock:
-                return {"ok": True, "stats": self.backend.stats()}
-        if op == "metrics":
-            with self._lock:
-                backend_stats = self.backend.stats()
-            return {"ok": True, "metrics": {
-                "dispatcher": self.metrics.snapshot(),
-                "backend": backend_stats.get("metrics", {}),
+                stats = self.backend.stats()
+            return {"ok": True, "stats": {
+                **stats, "dispatcher": self.metrics.snapshot(),
             }}
         if op == "select":
             try:
@@ -559,15 +556,6 @@ class RemoteBackend(BaseBackend):
         """Liveness probe (raises :class:`TransportError` when unreachable)."""
         with self._lock:
             return bool(self._call({"op": "ping"}).get("ok"))
-
-    def server_metrics(self) -> dict:
-        """The server-side telemetry snapshot (``metrics`` op):
-        ``{"dispatcher": ..., "backend": ...}`` registry snapshots."""
-        with self._lock:
-            reply = self._call({"op": "metrics"})
-        if not reply.get("ok"):
-            raise self._reply_error(reply)
-        return reply["metrics"]
 
     # -- protocol ------------------------------------------------------------
     def select_many(

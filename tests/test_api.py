@@ -34,7 +34,7 @@ from repro.api import (
     Workspace,
 )
 from repro.baselines import NaiveClusteringSelector, SubTabSelector
-from repro.core import SubTab, SubTabConfig
+from repro.core import SubTabConfig
 from repro.core.fairness import GroupRepresentation
 from repro.datasets import make_dataset
 from repro.embedding.word2vec import Word2VecConfig

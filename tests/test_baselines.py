@@ -150,6 +150,29 @@ class TestGreedy:
         # C(5, 3) = 10 subsets exist; the count stops the walk at 3.
         assert len(subsets) == 3
 
+    def test_greedy_approx_defaults_stop_after_50_subsets(self, monkeypatch):
+        # The registry builds an interactive selector: at its defaults a
+        # 26-column table at l=7 must not walk all C(26, 7) = 657,800
+        # column subsets.
+        from repro.api import make_selector
+        from repro.baselines.greedy_approx import ApproxGreedySelector
+        from repro.datasets import make_dataset
+
+        row_selection = ApproxGreedySelector._row_selection
+        calls = []
+
+        def counted(self, *args):
+            calls.append(args[1])
+            if len(calls) > 50:
+                raise AssertionError("walked past 50 column subsets")
+            return row_selection(self, *args)
+
+        monkeypatch.setattr(ApproxGreedySelector, "_row_selection", counted)
+        selector = make_selector("greedy-approx", SubTabConfig(seed=0))
+        selector.prepare(make_dataset("flights", n_rows=300, seed=0).frame)
+        assert selector.select(k=10, l=7).shape == (10, 7)
+        assert len(calls) == 50
+
 
 class TestMAB:
     def test_ucb_prefers_unseen_arms(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.frame.frame import DataFrame
 from repro.frame.io import to_csv
 
 

@@ -7,6 +7,7 @@ clustering used by the selection algorithms.)
 import pytest
 
 from repro.api import SelectionRequest, SelectionResponse
+from repro.api.cache import stable_hash64
 from repro.serve import (
     BackendError,
     BaseBackend,
@@ -138,6 +139,36 @@ class TestServing:
         assert stats["failovers"] == 0
         assert sum(m["served"] for m in stats["members"]) == len(requests)
         assert all(m["dead"] is False for m in stats["members"])
+        # Each member's own stats ride along, fingerprints included.
+        for member in stats["members"]:
+            assert member["stats"]["backend"] == "inproc"
+            assert member["stats"]["served"] == member["served"]
+            assert member["stats"]["fingerprints"]
+
+    def test_dead_member_is_not_polled_for_stats(self, fitted_engine,
+                                                 requests):
+        class Down(FlakyBackend):
+            def stats(self):
+                # A down host's stats call would block for its connect
+                # timeout; the router must not make it.
+                assert self.alive, "stats() called on a dead member"
+                return super().stats()
+
+        down = Down(InProcessBackend(fitted_engine))
+        router = ClusterRouter([("a", down),
+                                ("b", InProcessBackend(fitted_engine))],
+                               replication=2, replica_policy="hash")
+        down.die()
+        router.select_many(requests)  # a's share fails over: a is dead
+        members = {m["name"]: m for m in router.stats()["members"]}
+        assert members["a"]["dead"] is True
+        assert members["a"]["stats"] is None
+        assert members["b"]["stats"]["backend"] == "inproc"
+        # Readmitted, the member is polled again.
+        down.alive = True
+        router.revive()
+        members = {m["name"]: m for m in router.stats()["members"]}
+        assert members["a"]["stats"]["backend"] == "flaky"
 
     def test_close_closes_owned_members(self, fitted_engine):
         inner = InProcessBackend(fitted_engine)
@@ -242,15 +273,16 @@ class TestReplicaPolicies:
         router = ClusterRouter(members, replication=2,
                                replica_policy="least_inflight")
         request = SelectionRequest(k=3, l=3)
+        point = stable_hash64(request_key(request))
+        indices = router._replica_indices(request, point)
         ring_order = router.replicas_for(request)
         # Idle ring: ties keep ring order (cache affinity preserved).
-        assert router._attempt_order(router._replica_indices(request)) == \
-            router._replica_indices(request)
+        assert router._attempt_order(indices, point) == indices
         # Load the ring-order primary: reads shed to the idle replica.
         busy = router.member_names.index(ring_order[0])
         router._begin_inflight(busy, 5)
         try:
-            order = router._attempt_order(router._replica_indices(request))
+            order = router._attempt_order(indices, point)
             assert router.member_names[order[0]] == ring_order[1]
         finally:
             router._end_inflight(busy, 5)
@@ -293,7 +325,7 @@ class TestReplicaPolicies:
         class AlwaysLast(ReplicaPolicy):
             name = "always_last"
 
-            def order(self, indices, members):
+            def order(self, point, indices, members):
                 return list(reversed(indices))
 
         members = [("a", InProcessBackend(fitted_engine)),

@@ -1,6 +1,5 @@
 """Tests for the fairness extension (group representation)."""
 
-import numpy as np
 import pytest
 
 from repro.core import GroupRepresentation, is_fair

@@ -1,6 +1,5 @@
 """Unit + integration tests for the SubTab core (Algorithm 2)."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

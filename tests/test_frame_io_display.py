@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frame.column import Column
 from repro.frame.display import render_full, render_truncated
 from repro.frame.frame import DataFrame
 from repro.frame.io import read_csv, to_csv

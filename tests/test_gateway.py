@@ -494,16 +494,27 @@ class TestObservability:
             server.close()
 
     def test_stats_and_metrics_endpoints(self, fitted_engine):
+        import http.client
+
         with HttpGateway(InProcessBackend(fitted_engine),
                          own_backend=True).start() as gateway:
             with HttpBackend(gateway.address) as client:
                 client.select(SelectionRequest(k=3, l=3))
-                stats = client.stats()
-                assert stats["server"]["backend"] == "inproc"
-                metrics = client.server_metrics()
-        assert metrics["gateway"]["gateway.requests"]["value"] >= 1
-        assert metrics["admission"]["inflight"] == 0
-        assert "ops.select" in metrics["dispatcher"]
+                server = client.stats()["server"]
+            connection = http.client.HTTPConnection(*gateway.address,
+                                                    timeout=30)
+            try:
+                connection.request("GET", "/v1/metrics")
+                metrics_status = connection.getresponse().status
+            finally:
+                connection.close()
+        assert server["backend"] == "inproc"
+        gateway_section = server["gateway"]
+        assert gateway_section["metrics"]["gateway.requests"]["value"] >= 1
+        assert gateway_section["admission"]["inflight"] == 0
+        assert "ops.select" in server["dispatcher"]
+        # /v1/stats is the one telemetry route.
+        assert metrics_status == 404
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.gateway.cache import FINGERPRINT_CONFLICT, FINGERPRINT_UNKNOWN
 from repro.queries.ops import SPQuery
 from repro.queries.predicates import Eq
 from repro.frame.frame import DataFrame
-from repro.serve import InProcessBackend
+from repro.serve import ClusterRouter, InProcessBackend
 
 
 def build_planted_frame(n: int = 600, seed: int = 0) -> DataFrame:
@@ -485,6 +485,39 @@ class TestFingerprintInvalidation:
             client.close()
             gateway.close()
 
+    def test_version_bump_invalidates_through_a_ring(self, tmp_path):
+        # The fingerprints live in the members' stats: the ring must nest
+        # them, or the gateway never learns the new generation.
+        store = ArtifactStore(tmp_path / "store")
+        store.save("planted", _nc_engine(200, 0))
+        a = InProcessBackend.from_store(store)
+        b = InProcessBackend.from_store(store)
+        ring = ClusterRouter([("a", a), ("b", b)], replication=1)
+        gateway = HttpGateway(ring, own_backend=True, cache_size=64,
+                              cache_refresh_seconds=0.0).start()
+        client = HttpBackend(gateway.address)
+
+        def content(response):
+            return (response.subtable.row_indices, response.subtable.columns)
+
+        try:
+            request = SelectionRequest(k=5, l=4, dataset="planted")
+            v1 = client.select(request)
+            assert client.select(request).to_wire() == v1.to_wire()
+            assert gateway.app.metrics.counter("cache.hits").value >= 1
+
+            store.save("planted", _nc_engine(300, 7))
+            a.host.evict()
+            b.host.evict()
+
+            v2 = client.select(request)
+            assert gateway.app.metrics.counter("cache.stale").value >= 1
+            assert content(v2) == content(a.select(request))
+            assert content(v2) != content(v1)
+        finally:
+            client.close()
+            gateway.close()
+
 
 # ---------------------------------------------------------------------------
 # HttpBackend client-side revalidation
@@ -519,7 +552,7 @@ class TestClientRevalidation:
         try:
             client.select(REQUESTS[0])
             stats = client.stats()
-            gateway_section = stats["gateway"]
+            gateway_section = stats["server"]["gateway"]
             assert gateway_section is not None
             assert gateway_section["admission"]["max_inflight"] >= 1
             assert gateway_section["cache"]["entries"] == 1

@@ -5,10 +5,9 @@ score — the way a downstream user would, on small scales so the suite stays
 fast.
 """
 
-import numpy as np
 import pytest
 
-from repro.baselines import NaiveClusteringSelector, SubTabSelector
+from repro.baselines import SubTabSelector
 from repro.bench import load_bundle, prepare_selectors
 from repro.core import GroupRepresentation, SubTab, SubTabConfig
 from repro.core.highlight import RuleHighlighter

@@ -251,10 +251,14 @@ class TestTracePropagation:
         pipelined = AsyncRemoteBackend(server.address)
         try:
             sync.select(SelectionRequest(k=3, l=3))
-            for payload in (sync.server_metrics(),
-                            pipelined.server_metrics()):
-                assert payload["dispatcher"]["ops.select"]["value"] >= 1
-                assert payload["backend"]["batch.seconds"]["count"] >= 1
+            for client in (sync, pipelined):
+                stats = client.stats()["server"]
+                assert stats["dispatcher"]["ops.select"]["value"] >= 1
+                assert stats["metrics"]["batch.seconds"]["count"] >= 1
+            # The stats op is the one telemetry op.
+            reply = server.handle_message({"op": "metrics"})
+            assert reply == {"ok": False, "kind": "protocol",
+                             "error": "unknown op 'metrics'"}
         finally:
             sync.close()
             pipelined.close()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.binning import TableBinner
 from repro.core.result import subtable_from_selection
 from repro.frame.frame import DataFrame
 from repro.queries import (

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.api import (
-    Engine,
     SelectionRequest,
     SelectionResponse,
     UnknownEntryError,
