@@ -252,10 +252,6 @@ class Engine:
         return self._respond(subtable, request, k, l, cache_hit=False,
                              select_seconds=elapsed)
 
-    def select_subtable(self, *args, **kwargs) -> SubTable:
-        """Like :meth:`select` but returning only the sub-table."""
-        return self.select(*args, **kwargs).subtable
-
     def _respond(
         self,
         subtable: SubTable,

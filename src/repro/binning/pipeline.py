@@ -167,13 +167,6 @@ class BinnedTable:
         name = self.columns[j]
         return name, self.binnings[name].labels[self.codes[row, j]]
 
-    def row_token_ids(self, row: int) -> np.ndarray:
-        return self.token_ids[row, :]
-
-    def column_token_ids(self, column: "str | int") -> np.ndarray:
-        j = column if isinstance(column, int) else self.column_index(column)
-        return self.token_ids[:, j]
-
     # -- derived tables --------------------------------------------------------
     def subset(self, rows: Optional[Sequence[int]] = None,
                columns: Optional[Sequence[str]] = None) -> "BinnedView":

@@ -328,9 +328,11 @@ def _start_stats_reporter(server, interval: float):
     dispatcher's registry under ``dispatcher`` — counters and latency
     histograms from :mod:`repro.obs` — so a long-running server leaves a
     scrapeable trail on stdout without any client asking.  Each
-    snapshot is a ``stats`` op through the server's dispatcher, so it is
-    served like any client's: under the dispatcher's lock, which keeps it
-    from reading the backend's unguarded ``_account`` counters mid-update.
+    snapshot is a ``stats`` op through the server's dispatcher, served
+    like any client's and beside the selects in flight: the backend's
+    counters live in its locked registry, and a fronted
+    :class:`~repro.serve.RemoteBackend` holds its own lock per call, so
+    the snapshot never cuts into a request on the member's socket.
     """
     import json
     import threading

@@ -284,8 +284,8 @@ class GatewayApp:
 
         ``refresh_due`` claims at most one slot per refresh window, so
         concurrent handlers never stampede the backend with ``stats()``
-        calls.  The call runs on the dispatcher (serialized with every
-        other backend call) outside the admission cap — invalidation
+        calls.  The call runs on a dispatch thread, concurrently with the
+        selects in flight, and outside the admission cap — invalidation
         must not be shed along with client load.
         """
         if self.cache is None or not self.cache.refresh_due():

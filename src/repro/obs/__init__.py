@@ -5,10 +5,9 @@ by every backend in :mod:`repro.serve`, by the wire dispatcher, and by
 the load harness in :mod:`repro.loadgen`, and must never constrain where
 those run.
 
-* :class:`MetricsRegistry` / :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` — mergeable, JSON-portable metrics; every
-  ``ExecutionBackend.stats()`` carries a registry snapshot under the
-  ``"metrics"`` key.
+* :class:`MetricsRegistry` / :class:`Counter` / :class:`Histogram` —
+  JSON-portable metrics; every ``ExecutionBackend.stats()`` carries a
+  registry snapshot under the ``"metrics"`` key.
 * :func:`next_trace_id` + the ``"trace"`` frame field — per-request
   stage timings (client queue → transport → dispatcher → engine select)
   that survive socket, asyncio, HTTP, and cluster hops.
@@ -17,12 +16,10 @@ those run.
 from repro.obs.metrics import (
     BUCKETS_PER_DECADE,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_index,
     bucket_upper_bound,
-    merge_snapshots,
 )
 from repro.obs.trace import (
     CLIENT_STAGES,
@@ -39,7 +36,6 @@ __all__ = [
     "BUCKETS_PER_DECADE",
     "CLIENT_STAGES",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "SERVER_STAGES",
@@ -47,7 +43,6 @@ __all__ = [
     "bucket_index",
     "bucket_upper_bound",
     "make_stage",
-    "merge_snapshots",
     "next_trace_id",
     "propagate_trace_id",
     "resolve_trace_id",

@@ -1,17 +1,16 @@
-"""Dependency-free telemetry primitives: Counter, Gauge, Histogram.
+"""Dependency-free telemetry primitives: Counter, Histogram.
 
 Every serving backend, the wire dispatcher, and the load harness account
-their behavior through these three metric kinds behind a
+their behavior through these two metric kinds behind a
 :class:`MetricsRegistry`.  The design constraints come from where the
 numbers travel:
 
 * **JSON-portable snapshots** — a metric's :meth:`snapshot` is a plain
   dict (string keys, numbers), so it rides the existing ``stats`` wire op
   across socket and asyncio transports unchanged;
-* **mergeable** — histograms (and their snapshots) add bucket-by-bucket,
-  so per-worker / per-member / per-client measurements combine into one
-  distribution without keeping raw samples (:meth:`Histogram.merge`,
-  :func:`merge_snapshots`);
+* **bucket tables, not samples** — a histogram snapshot carries its full
+  bucket table, so a reader can add distributions bucket by bucket
+  without the raw observations;
 * **log-spaced buckets** — ``BUCKETS_PER_DECADE`` buckets per power of
   ten bound the relative quantile error to one bucket width (~33% here)
   across the nine decades between a microsecond cache hit and a
@@ -22,7 +21,7 @@ numbers travel:
 Quantiles are deterministic: ``quantile`` walks the cumulative bucket
 counts and reports the matched bucket's upper bound (clamped to the
 observed max), so the same observations always produce the same p50/p95/
-p99 — a property the bench gate and the merge/quantile tests rely on.
+p99 — a property the bench gate and the quantile tests rely on.
 """
 
 from __future__ import annotations
@@ -84,33 +83,6 @@ class Counter:
         return {"type": self.kind, "value": self.value}
 
 
-class Gauge:
-    """A point-in-time level (in-flight requests, window size)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += float(delta)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> dict:
-        return {"type": self.kind, "value": self.value}
-
-
 class Histogram:
     """A log-bucketed distribution with deterministic quantiles.
 
@@ -143,24 +115,6 @@ class Histogram:
                 self._min = value
             if self._max is None or value > self._max:
                 self._max = value
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram (bucket-wise
-        addition — the merged quantiles equal those of one histogram that
-        saw every observation)."""
-        with other._lock:
-            buckets = dict(other._buckets)
-            count, total = other._count, other._sum
-            low, high = other._min, other._max
-        with self._lock:
-            for index, n in buckets.items():
-                self._buckets[index] = self._buckets.get(index, 0) + n
-            self._count += count
-            self._sum += total
-            if low is not None and (self._min is None or low < self._min):
-                self._min = low
-            if high is not None and (self._max is None or high > self._max):
-                self._max = high
 
     # -- reads ---------------------------------------------------------------
     @property
@@ -216,44 +170,6 @@ class Histogram:
         }
 
 
-def merge_snapshots(left: dict, right: dict) -> dict:
-    """Merge two metric *snapshots* of the same kind into one.
-
-    Counters add, gauges keep the right operand (latest wins), histogram
-    bucket tables add (quantiles are recomputed from the merged table).
-    This is what lets per-member snapshots collected over the wire
-    combine without shipping Histogram objects across processes.
-    """
-    kind = left.get("type")
-    if kind != right.get("type"):
-        raise ValueError(
-            f"cannot merge snapshots of different kinds: "
-            f"{left.get('type')!r} vs {right.get('type')!r}"
-        )
-    if kind == Counter.kind:
-        return {"type": kind, "value": left["value"] + right["value"]}
-    if kind == Gauge.kind:
-        return {"type": kind, "value": right["value"]}
-    if kind == Histogram.kind:
-        merged = Histogram("merged")
-        for snap in (left, right):
-            with merged._lock:
-                for key, n in snap["buckets"].items():
-                    index = int(key)
-                    merged._buckets[index] = (
-                        merged._buckets.get(index, 0) + n
-                    )
-                merged._count += snap["count"]
-                merged._sum += snap["sum"]
-                if snap["count"]:
-                    if merged._min is None or snap["min"] < merged._min:
-                        merged._min = snap["min"]
-                    if merged._max is None or snap["max"] > merged._max:
-                        merged._max = snap["max"]
-        return merged.snapshot()
-    raise ValueError(f"unknown snapshot kind {kind!r}")
-
-
 class MetricsRegistry:
     """Named metrics behind one get-or-create surface.
 
@@ -281,9 +197,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)

@@ -106,8 +106,7 @@ class AsyncSocketServer:
 
     Each connection's frames are dispatched in adaptive micro-batches: a
     consumer task drains everything the reader has queued, one executor
-    hop runs the whole burst through the shared dispatcher (backend calls
-    serialized under its lock, like the sync server), and one write
+    hop runs the whole burst through the shared dispatcher, and one write
     flushes the replies.  The pipelining win is paying the cross-thread
     handoff and write syscall per *burst* instead of per round trip,
     while the reader keeps decoding the next frames in parallel.
@@ -121,10 +120,10 @@ class AsyncSocketServer:
     own_backend:
         Close the backend when the server closes.
     dispatch_threads:
-        Executor width for backend dispatch.  Batches from one connection
-        are serial by construction and selects serialize on the
-        dispatcher lock regardless; extra threads keep other connections'
-        lock-free ops (``ping``) live while a batch runs.
+        Executor width for backend dispatch: at most this many backend
+        calls run at once.  Batches from one connection are serial by
+        construction, so the calls that overlap come from different
+        connections.
     """
 
     def __init__(

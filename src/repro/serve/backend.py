@@ -68,17 +68,6 @@ class ExecutionBackend(Protocol):
         ...
 
 
-def core_stats(kind: str, served: int, errors: int, seconds: float) -> dict:
-    """The stats envelope every backend shares (benches compare on it)."""
-    return {
-        "backend": kind,
-        "served": served,
-        "errors": errors,
-        "seconds": seconds,
-        "qps": served / seconds if seconds else 0.0,
-    }
-
-
 class BaseBackend:
     """Shared accounting, context management, and ``select`` in terms of
     ``select_many`` for the concrete backends."""
@@ -86,13 +75,10 @@ class BaseBackend:
     kind = "backend"
 
     def __init__(self) -> None:
-        self._served = 0
-        self._errors = 0
-        self._seconds = 0.0
         self._closed = False
-        #: Per-backend telemetry; concrete backends and the transports
-        #: observe into it, and ``stats()`` reports its snapshot under
-        #: the shared ``"metrics"`` key.
+        #: Per-backend telemetry and the only accounting: ``_account``,
+        #: concrete backends and the transports observe into it, and
+        #: ``stats()`` derives its shared core from one snapshot of it.
         self.metrics = MetricsRegistry()
 
     # -- protocol ------------------------------------------------------------
@@ -107,11 +93,20 @@ class BaseBackend:
         raise NotImplementedError
 
     def stats(self) -> dict:
-        payload = core_stats(
-            self.kind, self._served, self._errors, self._seconds
-        )
-        payload["metrics"] = self.metrics.snapshot()
-        return payload
+        """The envelope every backend shares (benches compare on it),
+        read from one registry snapshot: ``seconds`` is the total of
+        ``batch.seconds``."""
+        metrics = self.metrics.snapshot()
+        served = metrics.get("requests.served", {}).get("value", 0)
+        seconds = metrics.get("batch.seconds", {}).get("sum", 0.0)
+        return {
+            "backend": self.kind,
+            "served": served,
+            "errors": metrics.get("requests.errors", {}).get("value", 0),
+            "seconds": seconds,
+            "qps": served / seconds if seconds else 0.0,
+            "metrics": metrics,
+        }
 
     def close(self) -> None:
         self._closed = True
@@ -122,16 +117,15 @@ class BaseBackend:
             raise BackendError(f"{type(self).__name__} is closed")
 
     def _account(self, entries: Sequence, seconds: float) -> None:
-        self._served += sum(
-            1 for e in entries if isinstance(e, SelectionResponse)
-        )
-        self._errors += sum(
-            1 for e in entries if not isinstance(e, SelectionResponse)
-        )
-        self._seconds += seconds
-        if entries:
-            self.metrics.histogram("batch.seconds").observe(seconds)
-            self.metrics.histogram("batch.size").observe(float(len(entries)))
+        """Count one served batch.  Safe from any thread: every metric
+        of the registry locks its own update."""
+        if not entries:
+            return
+        served = sum(1 for e in entries if isinstance(e, SelectionResponse))
+        self.metrics.counter("requests.served").inc(served)
+        self.metrics.counter("requests.errors").inc(len(entries) - served)
+        self.metrics.histogram("batch.seconds").observe(seconds)
+        self.metrics.histogram("batch.size").observe(float(len(entries)))
 
     @staticmethod
     def _finish(entries: list, raise_on_error: bool) -> list:

@@ -174,18 +174,15 @@ class BackendDispatcher:
     Both the threaded :class:`SocketServer` and the
     :class:`~repro.serve.aio.AsyncSocketServer` hand every decoded frame
     to one of these, so the op set, the error taxonomy, and the
-    request-id echo cannot drift between transports.  Backend calls are
-    serialized under one lock.  Selectors keep no per-select state and a
-    sync :class:`RemoteBackend` locks its own socket, but the backends'
-    accounting (:meth:`BaseBackend._account <repro.serve.backend.
-    BaseBackend._account>`: ``served``/``errors``/``seconds``) is an
-    unguarded read-modify-write.  Cross-member parallelism in a cluster
-    comes from running many server *processes*, not many threads in one.
+    request-id echo cannot drift between transports.  It holds no lock:
+    the servers' threads call the backend concurrently, and each shared
+    piece behind it guards itself (the engine's selection LRU, a
+    workspace's fault-in, each client's connection, a ring's member
+    bookkeeping, every registry metric).
     """
 
     def __init__(self, backend) -> None:
         self.backend = backend
-        self._lock = threading.Lock()
         #: Server-side telemetry: per-op counters plus ``trace.<stage>``
         #: timing histograms for traced requests.  The ``stats`` op
         #: reports it under ``"dispatcher"``, so the CLI's
@@ -228,10 +225,8 @@ class BackendDispatcher:
         if op == "ping":
             return {"ok": True, "op": "ping"}
         if op == "stats":
-            with self._lock:
-                stats = self.backend.stats()
             return {"ok": True, "stats": {
-                **stats, "dispatcher": self.metrics.snapshot(),
+                **self.backend.stats(), "dispatcher": self.metrics.snapshot(),
             }}
         if op == "select":
             try:
@@ -239,10 +234,9 @@ class BackendDispatcher:
                 # fail identically on every replica, so it must not be
                 # reported in a way the client maps to a failover trigger.
                 request = SelectionRequest.from_wire(message["request"])
-                with self._lock:
-                    backend_start = time.perf_counter()
-                    response = self.backend.select(request)
-                    backend_seconds = time.perf_counter() - backend_start
+                backend_start = time.perf_counter()
+                response = self.backend.select(request)
+                backend_seconds = time.perf_counter() - backend_start
             except BackendError as error:
                 return {"ok": False, "kind": "backend",
                         "error": f"{type(error).__name__}: {error}"}
@@ -271,13 +265,12 @@ class BackendDispatcher:
                     }
                     requests.append(None)
             try:
-                with self._lock:
-                    backend_start = time.perf_counter()
-                    entries = self.backend.select_many(
-                        [r for r in requests if r is not None],
-                        raise_on_error=False,
-                    )
-                    backend_seconds = time.perf_counter() - backend_start
+                backend_start = time.perf_counter()
+                entries = self.backend.select_many(
+                    [r for r in requests if r is not None],
+                    raise_on_error=False,
+                )
+                backend_seconds = time.perf_counter() - backend_start
             except BackendError as error:
                 return {"ok": False, "kind": "backend",
                         "error": f"{type(error).__name__}: {error}"}
@@ -341,11 +334,9 @@ class SocketServer:
     >>> RemoteBackend(server.address).select(request)    # doctest: +SKIP
 
     ``port=0`` binds an ephemeral port; read the bound address from
-    :attr:`address`.  Connections are handled in threads, but backend
-    calls are serialized under the :class:`BackendDispatcher`'s lock (the
-    backends' ``_account`` counters are unguarded); cross-member
-    parallelism in a cluster comes from running many server *processes*,
-    not many threads in one.
+    :attr:`address`.  Each connection is handled in its own thread, and
+    those threads call the backend concurrently: one server runs as many
+    backend calls at once as it has connections with a call in flight.
 
     Parameters
     ----------
@@ -712,13 +703,6 @@ class SpawnedServer:
         from repro.serve.aio import AsyncRemoteBackend
 
         return AsyncRemoteBackend((self.host, self.port), **options)
-
-    def connect_http(self, **options):
-        """A fresh :class:`~repro.gateway.HttpBackend` speaking to this
-        server (requires ``transport="http"`` at spawn time)."""
-        from repro.gateway import HttpBackend
-
-        return HttpBackend((self.host, self.port), **options)
 
     def kill(self) -> None:
         """Hard-stop the server (simulates a member host dying)."""

@@ -38,7 +38,15 @@ from repro.core import SubTabConfig
 from repro.core.fairness import GroupRepresentation
 from repro.datasets import make_dataset
 from repro.embedding.word2vec import Word2VecConfig
+from repro.gateway import HttpBackend, HttpGateway
 from repro.queries import Eq, SessionGenerator, SPQuery
+from repro.serve import (
+    ClusterRouter,
+    InProcessBackend,
+    RemoteBackend,
+    SocketServer,
+    spawn_artifact_server,
+)
 
 # Cheap per-algorithm counts so the full-registry sweep stays fast.
 FAST_OPTIONS = {
@@ -452,8 +460,9 @@ def _race(serve, requests, serial, n_threads=4, per_thread=12):
 
 
 class TestConcurrentDifferential:
-    """Threads racing on one engine, or one workspace, get for every
-    request the reply the serial pipeline gives it."""
+    """Threads racing on one engine, one workspace, a front server over a
+    ring, or a gateway get for every request the reply the serial
+    in-process pipeline gives it."""
 
     @pytest.fixture(scope="class")
     def cyber_frame(self):
@@ -488,6 +497,51 @@ class TestConcurrentDifferential:
                   for request in requests]
         # A fresh workspace: the racing threads also fault the engines in.
         assert not _race(Workspace(store).select, requests, serial)
+
+    def test_ring_front_replies_match_serial(self, fast_config, cyber_frame,
+                                             tmp_path):
+        # Each thread has its own connection to a socket server over a
+        # ring of two member processes.
+        engine = Engine("subtab", fast_config).fit(cyber_frame)
+        engine.save(tmp_path / "cyber")
+        requests = _request_mix(engine, seed=3)
+        serial = [_outcome(engine.select, request) for request in requests]
+        local, clients = threading.local(), []
+
+        def serve(request):
+            if not hasattr(local, "client"):
+                local.client = RemoteBackend(front.address)
+                clients.append(local.client)
+            return local.client.select(request)
+
+        with spawn_artifact_server(tmp_path / "cyber") as one, \
+                spawn_artifact_server(tmp_path / "cyber") as two:
+            ring = ClusterRouter([(one.address, one.connect()),
+                                  (two.address, two.connect())],
+                                 replication=1)
+            with SocketServer(ring, own_backend=True).start() as front:
+                try:
+                    diffs = _race(serve, requests, serial)
+                finally:
+                    for client in clients:
+                        client.close()
+        assert not diffs
+
+    def test_gateway_replies_match_serial(self, fast_config, cyber_frame,
+                                          tmp_path):
+        # Threads share one HttpBackend (one connection per thread) to a
+        # gateway without a response cache.
+        store = ArtifactStore(tmp_path)
+        store.save("cyber", Engine("subtab", fast_config).fit(cyber_frame))
+        serial_workspace = Workspace(store)
+        requests = _request_mix(serial_workspace.engine_for("cyber"), seed=4,
+                                dataset="cyber")
+        serial = [_outcome(serial_workspace.select, request)
+                  for request in requests]
+        with HttpGateway(InProcessBackend.from_store(store), cache_size=0,
+                         own_backend=True).start() as gateway, \
+                HttpBackend(gateway.address) as client:
+            assert not _race(client.select, requests, serial)
 
 
 class TestClockIndependence:

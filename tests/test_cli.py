@@ -206,17 +206,39 @@ class TestServeTransports:
         # socket server started with --connect in front of them.
         import re
         import subprocess
+        from collections import Counter
 
         from repro.api import Engine, SelectionRequest, SelectionResponse
         from repro.queries.generator import SessionGenerator
-        from repro.serve import RemoteBackend, spawn_artifact_server
+        from repro.serve import (
+            ClusterRouter,
+            RemoteBackend,
+            spawn_artifact_server,
+        )
 
         engine = Engine.load(subtab_artifact)
-        sessions = SessionGenerator(engine.binned, seed=0).generate(3)
-        requests = [SelectionRequest(query=step.state)
-                    for session in sessions for step in session]
+        sessions = SessionGenerator(engine.binned, seed=0).generate(12)
         with spawn_artifact_server(subtab_artifact) as one, \
                 spawn_artifact_server(subtab_artifact) as two:
+            # --connect names members by address, so placement follows
+            # the ephemeral ports: compute each request's owner on the
+            # bound addresses, and add sessions (at most 12) until each
+            # member owns a request the engine answers.
+            ring = ClusterRouter([(one.address, None), (two.address, None)],
+                                 replication=1, own_members=False)
+            requests, expected, answered = [], [], Counter()
+            for count, session in enumerate(sessions, start=1):
+                for step in session:
+                    requests.append(SelectionRequest(query=step.state))
+                    try:
+                        expected.append(engine.select(requests[-1]))
+                    except ValueError:
+                        expected.append(None)  # degenerate: fails remotely
+                        continue
+                    answered[ring.replicas_for(requests[-1])[0]] += 1
+                if count >= 3 and len(answered) == 2:
+                    break
+            assert len(answered) == 2, answered
             server = _serve_in_background(
                 "--artifact", str(subtab_artifact), "--transport", "socket",
                 "--port", "0", "--connect", f"{one.address},{two.address}",
@@ -230,14 +252,17 @@ class TestServeTransports:
                 with RemoteBackend(match.group(1)) as front:
                     served = front.select_many(requests,
                                                raise_on_error=False)
-                per_member = []
+                per_member = {}
                 for member in (one, two):
                     with member.connect() as remote:
-                        per_member.append(remote.stats()["server"]["served"])
+                        per_member[member.address] = \
+                            remote.stats()["server"]["served"]
             finally:
                 server.terminate()
                 server.wait(timeout=10)
-        assert all(count > 0 for count in per_member), per_member
+                server.stdout.close()
+        # Each member served exactly the answered requests it owns.
+        assert per_member == dict(answered)
 
         def content(response) -> dict:
             payload = response.to_wire()
@@ -245,16 +270,11 @@ class TestServeTransports:
                 payload.pop(volatile)
             return payload
 
-        compared = 0
-        for request, response in zip(requests, served):
-            try:
-                expected = engine.select(request)
-            except ValueError:
-                assert not isinstance(response, SelectionResponse)
-                continue
-            assert content(response) == content(expected)
-            compared += 1
-        assert compared > 0
+        for response, reply in zip(expected, served):
+            if response is None:
+                assert not isinstance(reply, SelectionResponse)
+            else:
+                assert content(reply) == content(response)
 
     def test_stats_reporter_waits_for_requests_in_flight(self, subtab_artifact,
                                                          tmp_path):

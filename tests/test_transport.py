@@ -16,7 +16,10 @@ import threading
 import pytest
 
 from repro.api import SelectionRequest, SelectionResponse
+from repro.gateway import HttpBackend, HttpGateway
 from repro.serve import (
+    AsyncSocketServer,
+    BaseBackend,
     InProcessBackend,
     RemoteBackend,
     RemoteRequestError,
@@ -350,3 +353,91 @@ class TestSpawnedServer:
         assert stats["errors"] == 3
         assert stats["seconds"] > 0
         remote.close()
+
+
+class _RendezvousBackend(BaseBackend):
+    """Holds each batch until a second one is inside ``select_many``: a
+    server gets both through only if it runs two backend calls at once."""
+
+    kind = "rendezvous"
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.barrier = threading.Barrier(2, timeout=5.0)
+
+    def select_many(self, requests, raise_on_error=True):
+        self.barrier.wait()
+        return self.inner.select_many(requests, raise_on_error)
+
+
+def _rendezvous_server(kind, backend):
+    if kind == "socket":
+        return SocketServer(backend).start(), RemoteBackend
+    if kind == "asyncio":
+        return AsyncSocketServer(backend).start(), RemoteBackend
+    return HttpGateway(backend).start(), HttpBackend
+
+
+class TestConcurrentDispatch:
+    """Servers run backend calls from different connections at once, and
+    a backend shared by threads counts every call it serves."""
+
+    @pytest.mark.parametrize("kind", ["socket", "asyncio", "http"])
+    def test_two_connections_overlap_in_the_backend(self, kind,
+                                                    fitted_engine):
+        server, client_type = _rendezvous_server(
+            kind, _RendezvousBackend(InProcessBackend(fitted_engine))
+        )
+        clients = [client_type(server.address) for _ in range(2)]
+        replies = [None, None]
+
+        def call(slot):
+            try:
+                replies[slot] = clients[slot].select(
+                    SelectionRequest(k=3, l=3)
+                )
+            except Exception as error:
+                replies[slot] = error
+
+        threads = [threading.Thread(target=call, args=(slot,))
+                   for slot in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            for client in clients:
+                client.close()
+            server.close()
+        assert all(isinstance(reply, SelectionResponse)
+                   for reply in replies), replies
+
+    def test_threads_lose_no_accounting_update(self, fitted_engine):
+        request = SelectionRequest(k=3, l=3)
+        fitted_engine.select(request)  # the threaded selects are LRU hits
+        n_threads, per_thread = 4, 600
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                backend = InProcessBackend(fitted_engine)
+
+                def drive():
+                    for _ in range(per_thread):
+                        backend.select(request)
+
+                threads = [threading.Thread(target=drive)
+                           for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                stats = backend.stats()
+                assert stats["served"] + stats["errors"] == \
+                    n_threads * per_thread, stats
+        finally:
+            sys.setswitchinterval(interval)
