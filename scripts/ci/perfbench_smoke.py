@@ -19,8 +19,11 @@ gate: the run checked its outputs (``correct``), failed no step
 run must also read nonzero for every :data:`TRACED_LAYERS` metric: the
 tracer patches the selection and k-means functions by module global, so
 moving one of them out from under its patch silently drops that layer to
-0.  The time metrics are printed for the record but not gated: shared CI
-runners are too noisy to hold them to a bound.
+0.  A seed-1 run's ``stream.fingerprint`` must equal
+:data:`SEED1_FINGERPRINTS`, so a change that alters a generated table or
+the session stream fails here.  The time metrics are printed for the
+record but not gated: shared CI runners are too noisy to hold them to a
+bound.
 """
 
 from __future__ import annotations
@@ -32,19 +35,36 @@ from pathlib import Path
 #: Per-layer totals a traced ``explore_cold`` run must report as nonzero.
 TRACED_LAYERS = ("core.selection_self_ms.total", "cluster.kmeans_calls.total")
 
+#: Each workload's ``stream.fingerprint`` at seed 1: the raw tables for
+#: ``ingest``, the request stream for ``explore_cold`` and ``replay_warm``.
+#: A change meant to alter a workload's inputs records the new value here.
+SEED1_FINGERPRINTS = {
+    "ingest": "eb20737cbebb542a",
+    "explore_cold": "14ee9022949f77eb",
+    "replay_warm": "4283317e562cd17c",
+}
 
-def _empty_layers(lines: list, result: dict) -> list:
+
+def _empty_layers(report: dict, result: dict) -> list:
     """The :data:`TRACED_LAYERS` a traced explore_cold run reads 0 for
     (none for any other run)."""
-    try:
-        report = json.loads(lines[-2])
-    except (IndexError, json.JSONDecodeError):
-        return []
     if report.get("workload") != "explore_cold" or not report.get("trace"):
         return []
     metrics = result.get("metrics", {})
     return [name for name in TRACED_LAYERS
             if not metrics.get(name, {}).get("value")]
+
+
+def _input_drift(report: dict) -> "str | None":
+    """Why a seed-1 run's inputs differ from :data:`SEED1_FINGERPRINTS`,
+    or ``None``."""
+    if report.get("seed") != 1:
+        return None
+    expected = SEED1_FINGERPRINTS.get(report.get("workload"))
+    actual = report.get("stream", {}).get("fingerprint")
+    if expected is None or actual == expected:
+        return None
+    return f"stream fingerprint {actual} at seed 1, recorded {expected}"
 
 
 def main(paths: list) -> int:
@@ -56,14 +76,16 @@ def main(paths: list) -> int:
     for path in paths:
         lines = Path(path).read_text().splitlines()
         try:
-            result = json.loads(lines[-1])
+            report, result = json.loads(lines[-2]), json.loads(lines[-1])
         except (IndexError, json.JSONDecodeError) as error:
-            print(f"perfbench smoke: FAIL {path}: no result line ({error})")
+            print(f"perfbench smoke: FAIL {path}: no report and result lines "
+                  f"({error})")
             failures += 1
             continue
-        empty = _empty_layers(lines, result)
+        empty = _empty_layers(report, result)
+        drift = _input_drift(report)
         ok = (result.get("correct") is True and result.get("failed") == 0
-              and result.get("attempted", 0) > 0 and not empty)
+              and result.get("attempted", 0) > 0 and not empty and not drift)
         metrics = "   ".join(
             f"{name}={metric['value']:g}{metric['unit']}"
             for name, metric in sorted(result.get("metrics", {}).items())
@@ -74,6 +96,8 @@ def main(paths: list) -> int:
               f"failed={result.get('failed')}\n    {metrics}")
         if empty:
             print(f"    traced layers read 0: {', '.join(empty)}")
+        if drift:
+            print(f"    {drift}")
         if not ok:
             failures += 1
     return 1 if failures else 0

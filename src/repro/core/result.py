@@ -78,7 +78,7 @@ def subtable_from_selection(
     targets: Sequence[str] = (),
 ) -> SubTable:
     """Materialize a :class:`SubTable` from global row/column selections."""
-    frame = full_frame.take(list(row_indices)).project(list(columns))
+    frame = full_frame.project(list(columns)).take(list(row_indices))
     return SubTable(
         frame=frame,
         row_indices=list(int(i) for i in row_indices),

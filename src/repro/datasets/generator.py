@@ -75,22 +75,20 @@ def _generate_numeric(spec, archetypes: np.ndarray, archetype_names: list[str],
 
 def _generate_categorical(spec, archetypes: np.ndarray, archetype_names: list[str],
                           rng: np.random.Generator) -> list:
-    n = len(archetypes)
-    values: list = [None] * n
+    values = np.full(len(archetypes), None, dtype=object)
     for index, name in enumerate(archetype_names):
         rows = np.flatnonzero(archetypes == index)
         if len(rows) == 0:
             continue
         weights = spec.weights_for(name)
-        options = list(weights.keys())
-        probabilities = np.array([weights[o] for o in options], dtype=np.float64)
+        options = np.array([*weights, None], dtype=object)  # None: missing
+        probabilities = np.array(list(weights.values()), dtype=np.float64)
         probabilities = probabilities / probabilities.sum()
-        draws = rng.choice(len(options), size=len(rows), p=probabilities)
+        draws = rng.choice(len(weights), size=len(rows), p=probabilities)
         missing_rate = spec.missing_for(name)
-        missing_draws = rng.random(len(rows)) < missing_rate
-        for row, draw, is_missing in zip(rows, draws, missing_draws):
-            values[row] = None if is_missing else options[draw]
-    return values
+        draws[rng.random(len(rows)) < missing_rate] = len(weights)
+        values[rows] = options[draws]
+    return values.tolist()  # derived-column specs read it from ``generated``
 
 
 def generate_dataset(
@@ -130,5 +128,5 @@ def generate_dataset(
             raise ValueError(f"unknown column kind {column_spec.kind!r}")
 
     frame = DataFrame(columns)
-    labels = [archetype_names[i] for i in archetypes]
+    labels = np.array(archetype_names, dtype=object)[archetypes].tolist()
     return SyntheticDataset(spec=spec, frame=frame, archetype_labels=labels)

@@ -11,6 +11,19 @@ structure).  Two kinds of columns exist:
 
 Columns are treated as immutable by convention: operations return new
 columns rather than mutating in place.
+
+Values reach a column's storage by an array route or by the per-cell
+route, and the routes build the same values:
+
+* A ``list`` or ``tuple`` whose cells are all exactly ``str`` or ``None``
+  (categorical kind) becomes an object array of the same objects; each
+  *distinct* string is tested once for being a missing marker, and the
+  cells equal to a marker become ``None``.  The per-cell route returns
+  ``str(value)``, which is ``value`` itself for an exact ``str``.
+* A float array of numeric kind is copied as float64.
+* Everything else (lists of numbers, bools, numpy scalars, subclasses of
+  ``str``, other arrays) takes the per-cell route, :func:`coerce_cells`,
+  which also serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +47,45 @@ def _is_missing_scalar(value) -> bool:
     if isinstance(value, np.floating) and np.isnan(value):
         return True
     return False
+
+
+#: Cell types whose sequences take the array route of :meth:`Column._coerce`.
+_STRING_CELLS = frozenset({str, type(None)})
+
+
+def _missing_markers(values: Sequence) -> list:
+    """The distinct strings among ``values`` that mark a missing cell."""
+    return [value for value in set(values)
+            if value is not None and value.strip().lower() in _MISSING_STRINGS]
+
+
+def coerce_cells(values: Sequence, kind: str) -> np.ndarray:
+    """Coerce ``values`` to a column's storage one cell at a time."""
+    if kind == NUMERIC:
+        out = np.empty(len(values), dtype=np.float64)
+        for i, value in enumerate(values):
+            if _is_missing_scalar(value):
+                out[i] = np.nan
+            elif isinstance(value, str):
+                stripped = value.strip()
+                if stripped.lower() in _MISSING_STRINGS:
+                    out[i] = np.nan
+                else:
+                    out[i] = float(stripped)
+            else:
+                out[i] = float(value)
+        return out
+    out = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        if _is_missing_scalar(value):
+            out[i] = None
+        elif isinstance(value, str) and value.strip().lower() in _MISSING_STRINGS:
+            out[i] = None
+        elif isinstance(value, (bool, np.bool_)):
+            out[i] = "True" if value else "False"
+        else:
+            out[i] = str(value)
+    return out
 
 
 def infer_kind(values: Iterable) -> str:
@@ -109,33 +161,15 @@ class Column:
 
     @staticmethod
     def _coerce(values: Sequence, kind: str) -> np.ndarray:
-        if kind == NUMERIC:
-            if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-                return values.astype(np.float64, copy=True)
-            out = np.empty(len(values), dtype=np.float64)
-            for i, value in enumerate(values):
-                if _is_missing_scalar(value):
-                    out[i] = np.nan
-                elif isinstance(value, str):
-                    stripped = value.strip()
-                    if stripped.lower() in _MISSING_STRINGS:
-                        out[i] = np.nan
-                    else:
-                        out[i] = float(stripped)
-                else:
-                    out[i] = float(value)
+        if kind == NUMERIC and isinstance(values, np.ndarray) and values.dtype.kind == "f":
+            return values.astype(np.float64, copy=True)
+        if (kind == CATEGORICAL and isinstance(values, (list, tuple))
+                and set(map(type, values)) <= _STRING_CELLS):
+            out = np.array(values, dtype=object)
+            for marker in _missing_markers(values):
+                out[out == marker] = None
             return out
-        out = np.empty(len(values), dtype=object)
-        for i, value in enumerate(values):
-            if _is_missing_scalar(value):
-                out[i] = None
-            elif isinstance(value, str) and value.strip().lower() in _MISSING_STRINGS:
-                out[i] = None
-            elif isinstance(value, (bool, np.bool_)):
-                out[i] = "True" if value else "False"
-            else:
-                out[i] = str(value)
-        return out
+        return coerce_cells(values, kind)
 
     # -- basic protocol ----------------------------------------------------
     def __len__(self) -> int:

@@ -65,7 +65,11 @@ class Eq(Predicate):
         column = frame.column(self.column)
         if column.is_numeric:
             return column.values == float(self.value)
-        return np.array([cell == self.value for cell in column.values], dtype=bool)
+        # A 0-d object array compares every cell with the value as one
+        # object, even when the value is a list or a tuple.
+        value = np.empty((), dtype=object)
+        value[()] = self.value
+        return column.values == value
 
     def fragments(self) -> list[Fragment]:
         return [

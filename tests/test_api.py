@@ -39,7 +39,7 @@ from repro.core.fairness import GroupRepresentation
 from repro.datasets import make_dataset
 from repro.embedding.word2vec import Word2VecConfig
 from repro.gateway import HttpBackend, HttpGateway
-from repro.queries import Eq, SessionGenerator, SPQuery
+from repro.queries import Eq, InRange, SessionGenerator, SPQuery
 from repro.serve import (
     ClusterRouter,
     InProcessBackend,
@@ -400,7 +400,9 @@ class TestEngineServing:
 def _request_mix(engine, seed, **routing):
     """Seeded uncached requests over generated session states: their
     queries and projections, random sizes and targets and, where the
-    selector takes them, mode overrides."""
+    selector takes them, mode overrides; plus two requests every selector
+    refuses with a ``ValueError``: a predicate that matches no row, and a
+    target the projection drops."""
     draw = random.Random(seed)
     modal = bool(engine.selector.supported_modes)
     requests = []
@@ -419,6 +421,20 @@ def _request_mix(engine, seed, **routing):
                                                        draw.randint(0, 1)))),
                 use_cache=False, **modes, **routing,
             ))
+    frame = engine.frame
+    state = draw.choice(requests).query
+    numeric = draw.choice([name for name in frame.columns
+                           if frame.column(name).is_numeric])
+    dropped = draw.choice(frame.columns)
+    kept = [name for name in frame.columns if name != dropped]
+    refused = [
+        SelectionRequest(k=3, l=2, use_cache=False, **routing, query=SPQuery(
+            state.predicates + (InRange(numeric, 1.0, 0.0),), state.projection)),
+        SelectionRequest(k=3, l=2, targets=(dropped,), use_cache=False, **routing,
+                         query=SPQuery(state.predicates, kept)),
+    ]
+    for request in refused:
+        requests.insert(draw.randrange(len(requests) + 1), request)
     return requests
 
 
@@ -431,15 +447,32 @@ def _outcome(serve, request):
     return subtable.row_indices, subtable.columns, subtable.targets
 
 
+def _serial(serve, requests, hops=0):
+    """Each request's outcome served one at a time, as a client ``hops``
+    dispatchers away sees it.  A dispatcher answers a refused request with
+    ``"<error type>: <message>"``, which the client raises as a
+    ``RemoteRequestError``; the mix must hold refused requests."""
+    outcomes = [_outcome(serve, request) for request in requests]
+    assert any(outcome[0] == "ValueError" for outcome in outcomes)
+    for _ in range(hops):
+        outcomes = [("RemoteRequestError", f"{outcome[0]}: {outcome[1]}")
+                    if isinstance(outcome[0], str) else outcome
+                    for outcome in outcomes]
+    return outcomes
+
+
 def _race(serve, requests, serial, n_threads=4, per_thread=12):
-    """Threads send seeded draws of ``requests``; returns every reply that
-    differs from the ``serial`` one."""
+    """Threads send seeded draws of ``requests``, and every refused one;
+    returns every reply that differs from the ``serial`` one."""
     diffs = []
+    refused = [i for i, outcome in enumerate(serial) if isinstance(outcome[0], str)]
 
     def drive(seed):
         draw = random.Random(seed)
-        for _ in range(per_thread):
-            i = draw.randrange(len(requests))
+        indices = [draw.randrange(len(requests)) for _ in range(per_thread)]
+        indices += refused
+        draw.shuffle(indices)
+        for i in indices:
             outcome = _outcome(serve, requests[i])
             if outcome != serial[i]:
                 diffs.append((requests[i], outcome, serial[i]))
@@ -462,7 +495,8 @@ def _race(serve, requests, serial, n_threads=4, per_thread=12):
 class TestConcurrentDifferential:
     """Threads racing on one engine, one workspace, a front server over a
     ring, or a gateway get for every request the reply the serial
-    in-process pipeline gives it."""
+    in-process pipeline gives it; a request it refuses arrives over each
+    hop as a ``RemoteRequestError`` in the dispatcher's wording."""
 
     @pytest.fixture(scope="class")
     def cyber_frame(self):
@@ -475,7 +509,7 @@ class TestConcurrentDifferential:
                         selector_options=FAST_OPTIONS.get(name))
         engine.fit(cyber_frame)
         requests = _request_mix(engine, seed=1)
-        serial = [_outcome(engine.select, request) for request in requests]
+        serial = _serial(engine.select, requests)
         assert not _race(engine.select, requests, serial)
 
     def test_workspace_replies_match_serial(self, fast_config, cyber_frame,
@@ -493,8 +527,7 @@ class TestConcurrentDifferential:
                 serial_workspace.engine_for(dataset), seed, dataset=dataset
             )
         ]
-        serial = [_outcome(serial_workspace.select, request)
-                  for request in requests]
+        serial = _serial(serial_workspace.select, requests)
         # A fresh workspace: the racing threads also fault the engines in.
         assert not _race(Workspace(store).select, requests, serial)
 
@@ -505,7 +538,8 @@ class TestConcurrentDifferential:
         engine = Engine("subtab", fast_config).fit(cyber_frame)
         engine.save(tmp_path / "cyber")
         requests = _request_mix(engine, seed=3)
-        serial = [_outcome(engine.select, request) for request in requests]
+        # The front's dispatcher wraps the member dispatcher's refusal.
+        serial = _serial(engine.select, requests, hops=2)
         local, clients = threading.local(), []
 
         def serve(request):
@@ -536,8 +570,7 @@ class TestConcurrentDifferential:
         serial_workspace = Workspace(store)
         requests = _request_mix(serial_workspace.engine_for("cyber"), seed=4,
                                 dataset="cyber")
-        serial = [_outcome(serial_workspace.select, request)
-                  for request in requests]
+        serial = _serial(serial_workspace.select, requests, hops=1)
         with HttpGateway(InProcessBackend.from_store(store), cache_size=0,
                          own_backend=True).start() as gateway, \
                 HttpBackend(gateway.address) as client:
@@ -556,7 +589,7 @@ class TestClockIndependence:
         engine = Engine(name, fast_config, selector_options=options)
         engine.fit(make_dataset("cyber", n_rows=300, seed=0).frame)
         requests = _request_mix(engine, seed=2)
-        real = [_outcome(engine.select, request) for request in requests]
+        real = _serial(engine.select, requests)
         hours = itertools.count(3600.0, 3600.0)
         monkeypatch.setattr(time, "perf_counter", lambda: next(hours))
         monkeypatch.setattr(time, "monotonic", lambda: next(hours))

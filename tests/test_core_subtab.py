@@ -110,6 +110,11 @@ class TestSubTableResult:
         subtable = subtable_from_selection(planted_frame, [0, 2], ["SIZE", "KIND"])
         assert subtable.shape == (2, 2)
         assert subtable.frame.column("SIZE")[0] == planted_frame.column("SIZE")[0]
+        # Duplicate rows and reordered columns give the frame taken, then projected.
+        rows, columns = [17, 3, 3, 150, 0], ["NOISE", "KIND", "SIZE"]
+        subtable = subtable_from_selection(planted_frame, rows, columns)
+        assert subtable.frame == planted_frame.take(rows).project(columns)
+        assert subtable.row_indices == rows and subtable.columns == columns
 
     def test_consistency_validation(self, planted_frame):
         frame = planted_frame.take([0]).project(["SIZE"])

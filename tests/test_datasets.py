@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.binning import TableBinner
+from repro.datasets import generator
 from repro.datasets import (
     CategoricalSpec,
     DatasetSpec,
@@ -15,6 +16,7 @@ from repro.datasets import (
     make_dataset,
     resolve_name,
 )
+from repro.frame.column import Column, coerce_cells
 from repro.rules import RuleMiner
 
 ALL_DATASETS = ["flights", "cyber", "spotify", "credit", "funds", "loans"]
@@ -177,3 +179,43 @@ class TestSpecMachinery:
         spec = dataset_spec("cyber")
         with pytest.raises(ValueError):
             generate_dataset(spec, n_rows=0)
+
+
+def _per_row_categorical(spec, archetypes, archetype_names, rng):
+    """The per-row categorical fill the array fill replaced: the oracle."""
+    values = [None] * len(archetypes)
+    for index, name in enumerate(archetype_names):
+        rows = np.flatnonzero(archetypes == index)
+        if len(rows) == 0:
+            continue
+        weights = spec.weights_for(name)
+        options = list(weights.keys())
+        probabilities = np.array([weights[o] for o in options], dtype=np.float64)
+        probabilities = probabilities / probabilities.sum()
+        draws = rng.choice(len(options), size=len(rows), p=probabilities)
+        missing_rate = spec.missing_for(name)
+        missing_draws = rng.random(len(rows)) < missing_rate
+        for row, draw, is_missing in zip(rows, draws, missing_draws):
+            values[row] = None if is_missing else options[draw]
+    return values
+
+
+@pytest.mark.parametrize("name", ALL_DATASETS)
+def test_generation_matches_the_per_row_oracle(name, monkeypatch):
+    sizes_and_seeds = [(rows, seed) for rows in (500, 2000) for seed in (0, 1, 7)]
+    built = [make_dataset(name, n_rows=rows, seed=seed)
+             for rows, seed in sizes_and_seeds]
+    monkeypatch.setattr(generator, "_generate_categorical", _per_row_categorical)
+    monkeypatch.setattr(Column, "_coerce", staticmethod(coerce_cells))
+    for dataset, (rows, seed) in zip(built, sizes_and_seeds):
+        oracle = make_dataset(name, n_rows=rows, seed=seed)
+        assert dataset.archetype_labels == oracle.archetype_labels
+        assert dataset.frame.columns == oracle.frame.columns
+        for column_name in oracle.frame.columns:
+            got, want = dataset.frame.column(column_name), oracle.frame.column(column_name)
+            assert got.kind == want.kind
+            assert got.values.dtype == want.values.dtype
+            if want.is_numeric:
+                assert got.values.tobytes() == want.values.tobytes()
+            else:
+                assert got.values.tolist() == want.values.tolist()

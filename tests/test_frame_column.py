@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.frame.column import CATEGORICAL, NUMERIC, Column, infer_kind
+from repro.frame.column import (
+    CATEGORICAL,
+    NUMERIC,
+    Column,
+    coerce_cells,
+    infer_kind,
+)
 
 
 class TestInferKind:
@@ -111,3 +119,57 @@ class TestColumnOps:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             Column("", [1.0])
+
+
+# -- the categorical array route of Column._coerce against the per-cell oracle
+
+class _Str(str):
+    pass
+
+
+_MARKERS = st.builds(
+    lambda marker, upper, left, right: (
+        left + "".join(c.upper() if u else c for c, u in zip(marker, upper))
+        + right),
+    st.sampled_from(["", "na", "nan", "null", "none", "n/a"]),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    st.sampled_from(["", " ", "\t", "  "]),
+    st.sampled_from(["", " ", "\n"]),
+)
+_STRINGS = st.one_of(_MARKERS, st.text(max_size=4),
+                     st.sampled_from(["1.5", " 2 ", "-inf", "a b"]))
+_STRING_CELLS = st.one_of(_STRINGS, st.none())
+#: Cells that send a sequence down the per-cell route.
+_OTHER_CELLS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), _STRINGS.map(_Str),
+    st.floats().map(np.float64), st.booleans().map(np.bool_),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+)
+
+
+def _object_array(values: list) -> np.ndarray:
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+@st.composite
+def _categorical_inputs(draw):
+    """Mostly ``str``/``None`` cells (the array route), sometimes with one
+    cell that sends the sequence down the per-cell route."""
+    values = draw(st.lists(_STRING_CELLS, max_size=12))
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_OTHER_CELLS)
+    return draw(st.sampled_from([list, tuple, _object_array]))(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_categorical_inputs())
+@example(values=["a", None, " NA ", "None", "b", "a", "\tn/A"])
+@example(values=("nan", 1.5, math.nan, True, _Str("None")))
+def test_coerce_matches_the_per_cell_loop(values):
+    expected = coerce_cells(values, CATEGORICAL)
+    actual = Column._coerce(values, CATEGORICAL)
+    assert actual.dtype == expected.dtype == object
+    assert actual.tolist() == expected.tolist()
+    assert [type(v) for v in actual] == [type(v) for v in expected]

@@ -54,6 +54,15 @@ class TestPredicates:
     def test_in_set(self, frame):
         assert list(InSet("cat", ["a", "c"]).mask(frame)) == [True, False, True, True]
 
+    @pytest.mark.parametrize("value", ["a", None, 1, ["a"], ("a",)])
+    def test_eq_categorical_matches_cell_comparisons(self, value):
+        frame = DataFrame({"cat": ["a", None, "b", "a", None]})
+        cells = frame.column("cat").values
+        oracle = np.array([cell == value for cell in cells], dtype=bool)
+        mask = Eq("cat", value).mask(frame)
+        assert mask.dtype == bool
+        assert mask.tolist() == oracle.tolist()
+
     def test_fragments_include_column_and_value(self):
         fragments = Eq("cat", "a").fragments()
         kinds = {f.kind for f in fragments}
