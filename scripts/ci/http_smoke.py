@@ -48,42 +48,13 @@ import dataclasses
 import json
 import shutil
 import tempfile
-import urllib.error
 import urllib.request
 from pathlib import Path
 
 from smoke_common import VOLATILE_FIELDS, diff_responses, ensure_artifact, \
-    session_requests
+    http_post, session_requests
 
 DATASET = "cyber"
-
-
-def _post(base: str, path: str, payload: dict, key: str,
-          trace_id: "str | None" = None,
-          etag: "str | None" = None) -> tuple:
-    """``(status, headers, body_dict)`` for one stdlib-urllib POST.
-
-    A ``304`` (and any other body-less reply) returns ``None`` for the
-    body — urllib surfaces 3xx/4xx as ``HTTPError``, and 304 carries no
-    payload to parse.
-    """
-    request = urllib.request.Request(
-        f"{base}{path}",
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json",
-                 "Authorization": f"Bearer {key}",
-                 **({"X-Trace-Id": trace_id} if trace_id else {}),
-                 **({"If-None-Match": etag} if etag else {})},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=120) as response:
-            return (response.status, dict(response.headers),
-                    json.loads(response.read().decode("utf-8")))
-    except urllib.error.HTTPError as error:
-        raw = error.read()
-        body = json.loads(raw.decode("utf-8")) if raw else None
-        return error.code, dict(error.headers), body
 
 
 def _stats(base: str, key: str) -> dict:
@@ -133,8 +104,8 @@ def main() -> int:
         # -- gate 1: bit-identical through the whole stack ----------------
         served, cache_hits = [], 0
         for request in requests:
-            status, headers, body = _post(base, "/v1/select",
-                                          request.to_wire(), "smoke-key")
+            status, headers, body = http_post(base, "/v1/select",
+                                              request.to_wire(), "smoke-key")
             cache_hits += headers.get("X-Cache") == "hit"
             if status == 200 and body.get("ok"):
                 served.append(SelectionResponse.from_wire(body["response"]))
@@ -151,8 +122,9 @@ def main() -> int:
         probe = next(request for request, response
                      in zip(requests, served)
                      if isinstance(response, SelectionResponse))
-        status, _headers, body = _post(base, "/v1/select", probe.to_wire(),
-                                       "smoke-key", trace_id="smoke-trace-1")
+        status, _headers, body = http_post(base, "/v1/select",
+                                           probe.to_wire(), "smoke-key",
+                                           trace_id="smoke-trace-1")
         assert status == 200, f"traced request failed: {body}"
         trace = body.get("trace")
         assert trace and trace["id"] == "smoke-trace-1", (
@@ -165,7 +137,8 @@ def main() -> int:
         )
 
         # -- gate 3: the burst tenant is shed with 429 + Retry-After ------
-        replies = [_post(base, "/v1/select", probe.to_wire(), "bursty-key")
+        replies = [http_post(base, "/v1/select", probe.to_wire(),
+                             "bursty-key")
                    for _ in range(5)]
         statuses = [status for status, _headers, _body in replies]
         assert statuses.count(200) == 2 and statuses.count(429) == 3, (
@@ -180,14 +153,15 @@ def main() -> int:
                     f"shed reply must carry the admission kind: {body}"
                 )
         # -- gate 4: conditional request revalidates with 304 -------------
-        status, headers, _body = _post(base, "/v1/select", probe.to_wire(),
-                                       "smoke-key")
+        status, headers, _body = http_post(base, "/v1/select",
+                                           probe.to_wire(), "smoke-key")
         assert status == 200 and headers.get("X-Cache") == "hit", (
             f"probe should be cached by now: {status} {headers}"
         )
         etag = headers["ETag"]
-        status, headers, body = _post(base, "/v1/select", probe.to_wire(),
-                                      "smoke-key", etag=etag)
+        status, headers, body = http_post(base, "/v1/select",
+                                          probe.to_wire(), "smoke-key",
+                                          etag=etag)
         assert status == 304 and body is None, (
             f"conditional request should 304 with an empty body, got "
             f"{status}: {body}"

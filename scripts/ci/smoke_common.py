@@ -12,24 +12,31 @@ from the same pieces:
   the path under test and through the in-process engine, and every
   response must match in wire form (minus timing/cache metadata, which
   legitimately differs per path);
+* :func:`http_post` — one stdlib-``urllib`` POST to a gateway, with its
+  status, headers and decoded body;
 * :class:`BackgroundServer` — run ``python -m repro serve --transport
-  socket|asyncio`` as a background process on an **OS-assigned port**
-  (``--port 0``; parallel CI jobs cannot collide on a fixed port) and
-  wait for its readiness banner.  A server that never becomes ready is a
-  hard failure: the log is dumped and the smoke exits non-zero — a
-  readiness poll that silently falls through to the client turns every
-  startup bug into a confusing connection error downstream.
+  socket|asyncio|http`` (plus any extra ``serve`` flags) as a background
+  process on an **OS-assigned port** (``--port 0``; parallel CI jobs
+  cannot collide on a fixed port) and wait for its readiness banner.  A
+  server that never becomes ready is a hard failure: the log is dumped
+  and the smoke exits non-zero — a readiness poll that silently falls
+  through to the client turns every startup bug into a confusing
+  connection error downstream.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
+from typing import Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -129,19 +136,49 @@ def diff_responses(engine, requests, served, label: str) -> int:
     return checked
 
 
+def http_post(base: str, path: str, payload: dict, key: Optional[str],
+              trace_id: Optional[str] = None,
+              etag: Optional[str] = None) -> tuple:
+    """``(status, headers, body_dict)`` for one stdlib-urllib POST to the
+    gateway at ``base`` (``key=None``: no credentials).
+
+    A ``304`` (and any other body-less reply) returns ``None`` for the
+    body — urllib surfaces 3xx/4xx as ``HTTPError``, and 304 carries no
+    payload to parse.
+    """
+    request = urllib.request.Request(
+        f"{base}{path}",
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json",
+                 **({"Authorization": f"Bearer {key}"} if key else {}),
+                 **({"X-Trace-Id": trace_id} if trace_id else {}),
+                 **({"If-None-Match": etag} if etag else {})},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=120) as response:
+            return (response.status, dict(response.headers),
+                    json.loads(response.read().decode("utf-8")))
+    except urllib.error.HTTPError as error:
+        raw = error.read()
+        body = json.loads(raw.decode("utf-8")) if raw else None
+        return error.code, dict(error.headers), body
+
+
 class BackgroundServer:
     """``python -m repro serve`` in the background, on an ephemeral port.
 
     >>> with BackgroundServer(artifact, transport="socket") as server:
     ...     RemoteBackend(server.address).select_many(requests)
 
+    ``serve_args`` are further ``serve`` flags (``--tenants FILE``, ...).
     Readiness is the CLI's ``serving ... on HOST:PORT`` banner; waiting
     exhausts after ``timeout`` seconds with the full server log on
     stderr and a non-zero exit — never a silent fall-through.
     """
 
     def __init__(self, artifact: Path, transport: str = "socket",
-                 timeout: float = 120.0):
+                 timeout: float = 120.0, serve_args: Sequence[str] = ()):
         self.transport = transport
         self.log_path = Path(tempfile.mkstemp(
             prefix=f"repro-{transport}-server-", suffix=".log"
@@ -150,7 +187,8 @@ class BackgroundServer:
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--artifact", str(artifact),
-             "--transport", transport, "--host", "127.0.0.1", "--port", "0"],
+             "--transport", transport, "--host", "127.0.0.1", "--port", "0",
+             *serve_args],
             stdout=self._log, stderr=subprocess.STDOUT, env=repro_env(),
         )
         self.host, self.port = self._wait_ready(timeout)

@@ -38,7 +38,7 @@ WATCHED_CONSTRUCTORS = {
     "SocketServer", "AsyncSocketServer", "RemoteBackend",
     "AsyncRemoteBackend", "InProcessBackend", "ClusterRouter",
     "spawn_artifact_server", "spawn_store_server",
-    "HttpGateway", "HttpServer", "HttpBackend", "GatewayApp",
+    "HttpGateway", "HttpBackend", "GatewayApp",
     "ResponseCache",
 }
 

@@ -25,14 +25,18 @@ def normalize_text(value: str) -> str:
 
 
 def normalize_column(column: Column) -> Column:
-    """Normalize one column (numeric columns pass through unchanged)."""
+    """Normalize one column (numeric columns pass through unchanged).
+
+    A categorical column repeats a few distinct strings, so each distinct
+    string is normalized once.
+    """
     if column.is_numeric:
         return column
-    values = [
-        None if value is None else normalize_text(value) for value in column.values
-    ]
     # Normalization can empty a string, which then counts as missing.
-    values = [None if value == "" else value for value in values]
+    normalized = {value: normalize_text(value) or None
+                  for value in set(column.values) if value is not None}
+    normalized[None] = None
+    values = [normalized[value] for value in column.values]
     return Column(column.name, values, kind=column.kind)
 
 

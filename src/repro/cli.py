@@ -356,7 +356,7 @@ def _start_stats_reporter(server, interval: float):
 def _serve_socket(args) -> int:
     """Expose the backend the flags describe on a TCP address (server
     mode): an engine in this process, or the ``--connect`` members."""
-    from repro.serve import AsyncSocketServer, SocketServer
+    from repro.serve.transport import _build_server
 
     registry = None
     if args.transport == "http" and args.tenants is not None:
@@ -369,18 +369,8 @@ def _serve_socket(args) -> int:
         except TenantConfigError as error:
             raise SystemExit(f"serve: {error}")
     backend, description = _build_serve_backend(args)
-    if args.transport == "http":
-        from repro.gateway import HttpGateway
-
-        server = HttpGateway(backend, host=args.host, port=args.port,
-                             tenants=registry, own_backend=True,
-                             cache_size=args.http_cache_size).start()
-    elif args.transport == "asyncio":
-        server = AsyncSocketServer(backend, host=args.host, port=args.port,
-                                   own_backend=True).start()
-    else:
-        server = SocketServer(backend, host=args.host, port=args.port,
-                              own_backend=True)
+    server = _build_server(backend, args.host, args.port, args.transport,
+                           tenants=registry, cache_size=args.http_cache_size)
     host, port = server.address
     tenancy = ("" if registry is None
                else f", tenants={len(registry)}")

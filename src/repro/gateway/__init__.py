@@ -5,12 +5,14 @@ framing; this package puts an HTTP/1.1 face on **any**
 :class:`~repro.serve.backend.ExecutionBackend` (engine, workspace,
 cluster — topologies nest unchanged behind it):
 
-* :mod:`repro.gateway.http` — a dependency-free asyncio HTTP/1.1 server
-  (parsing with hard caps, keep-alive, chunked streaming);
+* :mod:`repro.gateway.http` — dependency-free HTTP/1.1 reading and
+  writing (parsing with hard caps, keep-alive, chunked streaming);
 * :mod:`repro.gateway.tenants` — API-key tenancy, per-tenant token
   buckets, and the global concurrency-cap admission controller;
 * :mod:`repro.gateway.app` — routes, taxonomy → status mapping, tenant
-  metrics, and ``X-Trace-Id`` propagation into the wire-envelope trace;
+  metrics, and ``X-Trace-Id`` propagation into the wire-envelope trace,
+  served by :class:`HttpGateway` on the asyncio server core of
+  :mod:`repro.serve.aio`;
 * :mod:`repro.gateway.cache` — the fingerprint-keyed response cache
   (strong ``ETag`` revalidation, per-tenant isolation, generation-based
   invalidation learned from backend ``stats()``);
@@ -32,7 +34,6 @@ from repro.gateway.http import (
     HttpError,
     HttpRequest,
     HttpResponse,
-    HttpServer,
     StreamingResponse,
     read_request,
 )
@@ -68,7 +69,6 @@ __all__ = [
     "HttpGateway",
     "HttpRequest",
     "HttpResponse",
-    "HttpServer",
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
     "MAX_REQUEST_LINE_BYTES",

@@ -1,7 +1,7 @@
 """The gateway application: routes → auth → admission → dispatch.
 
 :class:`GatewayApp` is the async handler behind
-:class:`~repro.gateway.http.HttpServer`.  It owns a
+:class:`HttpGateway`'s request loop.  It owns a
 :class:`~repro.serve.transport.BackendDispatcher` over the fronted
 :class:`~repro.serve.backend.ExecutionBackend` — the *same* server brain
 the socket transports use — so every HTTP reply body is, by
@@ -52,11 +52,14 @@ from repro.gateway.cache import (
     request_key,
 )
 from repro.gateway.http import (
+    MAX_HEADER_BYTES,
     HttpError,
     HttpRequest,
     HttpResponse,
-    HttpServer,
     StreamingResponse,
+    error_response,
+    read_request,
+    write_response,
 )
 from repro.gateway.tenants import (
     AdmissionController,
@@ -66,6 +69,7 @@ from repro.gateway.tenants import (
     TenantRegistry,
     TenantSpec,
 )
+from repro.serve.aio import EventLoopServer
 from repro.serve.transport import BackendDispatcher
 
 #: The tenant every request maps to when the gateway runs without a
@@ -108,8 +112,8 @@ class GatewayApp:
     """Routing, tenancy, and dispatch over one fronted backend.
 
     The app is transport-free (it maps :class:`HttpRequest` to
-    :class:`HttpResponse`); :class:`HttpGateway` pairs it with an
-    :class:`~repro.gateway.http.HttpServer` for the full front door.
+    :class:`HttpResponse`); :class:`HttpGateway` serves it over HTTP for
+    the full front door.
     """
 
     def __init__(
@@ -566,17 +570,24 @@ class GatewayApp:
         return response
 
 
-class HttpGateway:
-    """The full HTTP front door: app + server over one backend.
+class HttpGateway(EventLoopServer):
+    """The full HTTP front door: a :class:`GatewayApp` served on the
+    asyncio server core.
 
     >>> gateway = HttpGateway(backend, port=0).start()     # doctest: +SKIP
     >>> HttpBackend(gateway.address).select(request)       # doctest: +SKIP
 
-    Same lifecycle contract as the socket servers (``start`` /
-    ``address`` / ``serve_forever`` / ``close``), so the CLI, the spawn
-    helpers, and the benches treat ``--transport http`` exactly like
-    ``socket`` and ``asyncio``.
+    The lifecycle is :class:`~repro.serve.aio.EventLoopServer`'s, the
+    same as the socket servers' (``start`` / ``address`` /
+    ``serve_forever`` / ``close``), so the CLI, the spawn helpers, and the
+    benches treat ``--transport http`` exactly like ``socket`` and
+    ``asyncio``.  Each connection runs the request loop: parse a request,
+    hand it to ``self.app.handle``, write the answer, until the client or
+    a framing error ends the connection.
     """
+
+    thread_name = "http-server"
+    stream_limit = MAX_HEADER_BYTES
 
     def __init__(
         self,
@@ -590,7 +601,7 @@ class HttpGateway:
         cache_size: int = 0,
         cache_refresh_seconds: float = 2.0,
     ):
-        self.backend = backend
+        super().__init__(backend, host, port, own_backend)
         self.app = GatewayApp(
             backend,
             tenants=tenants,
@@ -599,38 +610,38 @@ class HttpGateway:
             cache_size=cache_size,
             cache_refresh_seconds=cache_refresh_seconds,
         )
-        self._own_backend = own_backend
-        self._server = HttpServer(self.app.handle, host=host, port=port)
-        self._closed = False
 
-    @property
-    def address(self) -> tuple:
-        """The bound ``(host, port)`` (after :meth:`start`)."""
-        return self._server.address
-
-    def start(self) -> "HttpGateway":
-        self._server.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._server.close()
+    def _release(self) -> None:
         self.app.close()
-        if self._own_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "HttpGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def handle_message(self, message) -> dict:
         """One transport message through the gateway's dispatcher, as the
         socket servers' ``handle_message`` takes it."""
         return self.app.dispatcher.handle_message(message)
+
+    async def _handle_connection(self, reader, writer) -> None:
+        while True:
+            try:
+                request = await read_request(reader)
+            except HttpError as error:
+                # Framing is broken: answer and hang up.
+                await write_response(writer, error_response(error),
+                                     keep_alive=False)
+                return
+            if request is None:
+                return
+            try:
+                response = await self.app.handle(request)
+            except HttpError as error:
+                response = error_response(error)
+            except Exception as error:
+                # A handler bug must not kill the connection loop; the
+                # taxonomy rides the body as a "kind" tag.
+                response = HttpResponse(status=500, payload={
+                    "ok": False, "kind": "protocol",
+                    "error": f"{type(error).__name__}: {error}",
+                })
+            keep_alive = request.keep_alive
+            await write_response(writer, response, keep_alive)
+            if not keep_alive:
+                return

@@ -13,14 +13,13 @@ implementing exactly the slice of HTTP/1.1 the gateway needs —
   :class:`~repro.serve.errors.RequestError`), answered with a JSON error
   body and a closed connection — never a hang, never a traceback.
 
-The server reuses the :class:`~repro.serve.aio.AsyncSocketServer`
-lifecycle: the event loop runs on a background thread (``start()``
-returns once the socket is bound, re-raising bind failures), ``close()``
-aborts live transports and joins the handlers, and ``serve_forever()``
-blocks for CLI use.  Routing, auth, and backend dispatch live one layer
-up in :mod:`repro.gateway.app` — this module only turns bytes into
-:class:`HttpRequest` objects and :class:`HttpResponse` /
-:class:`StreamingResponse` objects back into bytes.
+The server is :class:`~repro.gateway.app.HttpGateway`, an
+:class:`~repro.serve.aio.EventLoopServer` whose request loop reads with
+:func:`read_request` and answers with :func:`write_response`.  Routing,
+auth, and backend dispatch live in :mod:`repro.gateway.app` — this module
+only turns bytes into :class:`HttpRequest` objects and
+:class:`HttpResponse` / :class:`StreamingResponse` objects back into
+bytes.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import threading
 from dataclasses import dataclass
-from typing import AsyncIterator, Awaitable, Callable, Optional, Union
+from typing import AsyncIterator, Optional, Union
 from urllib.parse import parse_qsl, unquote, urlsplit
 
-from repro.serve.errors import RequestError, TransportError
+from repro.serve.errors import RequestError
 
 #: Hard caps on one request's framing.  Oversized input is a 400/413 —
 #: the connection is then closed because the stream position can no
@@ -150,10 +148,6 @@ class StreamingResponse:
         closer = getattr(self.lines, "aclose", None)
         if closer is not None:
             await closer()
-
-
-Handler = Callable[[HttpRequest],
-                   Awaitable[Union[HttpResponse, StreamingResponse]]]
 
 
 def _status_line(status: int) -> str:
@@ -324,191 +318,34 @@ async def read_request(
 
 
 # ---------------------------------------------------------------------------
-# Server
+# Writing
 # ---------------------------------------------------------------------------
 
-class HttpServer:
-    """Serve an async ``handler(HttpRequest)`` over HTTP/1.1.
-
-    Same embedding contract as the socket servers: ``start()`` binds on a
-    background event-loop thread and returns once the address is known
-    (bind failures re-raise as :class:`TransportError`), ``address`` is
-    the bound ``(host, port)``, ``close()`` tears every connection down
-    and joins the loop, ``serve_forever()`` blocks for the CLI.
-    """
-
-    def __init__(self, handler: Handler, host: str = "127.0.0.1",
-                 port: int = 0):
-        self._handler = handler
-        self._bind_host = host
-        self._bind_port = port
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._handler_tasks: set = set()
-        self._transports: set = set()
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._address: Optional[tuple] = None
-        self._closed = False
-
-    # -- lifecycle -----------------------------------------------------------
-    @property
-    def address(self) -> tuple:
-        """The bound ``(host, port)`` (after :meth:`start`)."""
-        if self._address is None:
-            raise TransportError("HttpServer has not been started")
-        return self._address
-
-    def start(self) -> "HttpServer":
-        if self._closed:
-            raise TransportError("HttpServer is closed")
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run_loop, daemon=True, name="http-server"
-            )
-            self._thread.start()
-            self._started.wait()
-            if self._startup_error is not None:
-                self._thread.join(timeout=1.0)
-                self._thread = None
-                error = self._startup_error
-                self._startup_error = None
-                raise TransportError(
-                    f"could not bind {self._bind_host}:{self._bind_port}: "
-                    f"{type(error).__name__}: {error}"
-                ) from error
-        return self
-
-    def serve_forever(self) -> None:
-        self.start()
-        while self._thread is not None and self._thread.is_alive():
-            self._thread.join(timeout=0.2)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:  # loop already gone
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "HttpServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- event loop ----------------------------------------------------------
-    def _run_loop(self) -> None:
+async def write_response(writer: asyncio.StreamWriter,
+                         response: Union[HttpResponse, StreamingResponse],
+                         keep_alive: bool) -> None:
+    """Write one response: a buffered body at once, a streaming one as
+    a chunk per line, each flushed the moment it is computed."""
+    if isinstance(response, StreamingResponse):
+        head = [_status_line(response.status),
+                "Content-Type: application/x-ndjson",
+                "Transfer-Encoding: chunked",
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"]
+        head.extend(f"{name}: {value}" for name, value in response.headers)
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+        await writer.drain()
         try:
-            asyncio.run(self._main())
-        finally:
-            self._started.set()  # unblock start() even on pre-bind crashes
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self._handler_tasks = set()
-        self._transports = set()
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, self._bind_host, self._bind_port,
-                limit=MAX_HEADER_BYTES,
-            )
-        except OSError as error:
-            self._startup_error = error
-            self._started.set()
-            return
-        self._address = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        async with server:
-            await self._stop.wait()
-        # Same graceful teardown as AsyncSocketServer: abort transports so
-        # every blocked reader wakes with EOF, then let handlers drain.
-        for transport in list(self._transports):
-            transport.abort()
-        if self._handler_tasks:
-            await asyncio.gather(*self._handler_tasks,
-                                 return_exceptions=True)
-
-    # -- connection handling -------------------------------------------------
-    async def _respond(self, writer: asyncio.StreamWriter,
-                       response, keep_alive: bool) -> None:
-        if isinstance(response, StreamingResponse):
-            head = [_status_line(response.status),
-                    "Content-Type: application/x-ndjson",
-                    "Transfer-Encoding: chunked",
-                    f"Connection: "
-                    f"{'keep-alive' if keep_alive else 'close'}"]
-            head.extend(f"{name}: {value}"
-                        for name, value in response.headers)
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-            await writer.drain()
-            try:
-                async for item in response.lines:
-                    data = json.dumps(item).encode("utf-8") + b"\n"
-                    writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
-                    # Flush per line: each step reaches the client the
-                    # moment it is computed, and a vanished client raises
-                    # here, stopping the generator before the next step.
-                    await writer.drain()
-                writer.write(b"0\r\n\r\n")
+            async for item in response.lines:
+                data = json.dumps(item).encode("utf-8") + b"\n"
+                writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
+                # Flush per line: each step reaches the client the moment
+                # it is computed, and a vanished client raises here,
+                # stopping the generator before the next step.
                 await writer.drain()
-            finally:
-                await response.aclose()
-        else:
-            writer.write(response.encode(keep_alive))
+            writer.write(b"0\r\n\r\n")
             await writer.drain()
-
-    async def _handle_connection(self, reader, writer) -> None:
-        handler_task = asyncio.current_task()
-        if handler_task is not None:
-            self._handler_tasks.add(handler_task)
-        self._transports.add(writer.transport)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as error:
-                    # Framing is broken: answer and hang up.
-                    try:
-                        await self._respond(writer, error_response(error),
-                                            keep_alive=False)
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if request is None:
-                    break
-                try:
-                    response = await self._handler(request)
-                except HttpError as error:
-                    response = error_response(error)
-                except Exception as error:
-                    # A handler bug must not kill the connection loop;
-                    # the taxonomy rides the body as a "kind" tag.
-                    response = HttpResponse(status=500, payload={
-                        "ok": False, "kind": "protocol",
-                        "error": f"{type(error).__name__}: {error}",
-                    })
-                keep_alive = request.keep_alive
-                try:
-                    await self._respond(writer, response, keep_alive)
-                except (ConnectionError, OSError):
-                    break  # peer vanished mid-response
-                if not keep_alive:
-                    break
         finally:
-            if handler_task is not None:
-                self._handler_tasks.discard(handler_task)
-            self._transports.discard(writer.transport)
-            try:
-                writer.close()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
+            await response.aclose()
+    else:
+        writer.write(response.encode(keep_alive))
+        await writer.drain()

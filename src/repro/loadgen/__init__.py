@@ -20,7 +20,6 @@ from repro.loadgen.runner import (
     LoadgenReport,
     find_knee,
     run_open_loop,
-    run_open_loop_http,
 )
 from repro.loadgen.workload import (
     ArrivalEvent,
@@ -37,6 +36,5 @@ __all__ = [
     "build_schedule",
     "find_knee",
     "run_open_loop",
-    "run_open_loop_http",
     "sample_sessions",
 ]

@@ -172,34 +172,6 @@ def run_open_loop(
     )
 
 
-def run_open_loop_http(
-    address,
-    schedule: OpenLoopSchedule,
-    *,
-    api_key: Optional[str] = None,
-    max_sessions: int = DEFAULT_MAX_SESSIONS,
-    call_timeout: Optional[float] = 120.0,
-) -> LoadgenReport:
-    """Replay ``schedule`` through the HTTP gateway at ``address``.
-
-    The HTTP face of :func:`run_open_loop`: it builds a
-    :class:`~repro.gateway.HttpBackend` (per-thread keep-alive
-    connections, so the session workers drive concurrent HTTP requests),
-    runs the open loop, and closes the client.  Gateway admission sheds
-    (429) surface as :class:`~repro.serve.errors.BackendError` and count
-    as ``errors`` — an open-loop run against a rate-limited tenant
-    measures the shedding, as it should.
-    """
-    from repro.gateway import HttpBackend
-
-    backend = HttpBackend(address, api_key=api_key,
-                          call_timeout=call_timeout)
-    try:
-        return run_open_loop(backend, schedule, max_sessions=max_sessions)
-    finally:
-        backend.close()
-
-
 def find_knee(reports: Sequence[LoadgenReport],
               threshold: float = 0.9) -> Optional[LoadgenReport]:
     """The saturation knee of a rate sweep: the highest-offered-rate run

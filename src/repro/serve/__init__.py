@@ -6,7 +6,7 @@ Public surface::
         ExecutionBackend, InProcessBackend,                 # local backend
         RemoteBackend, SocketServer, spawn_artifact_server, # socket transport
         AsyncRemoteBackend, AsyncSocketServer,             # pipelined asyncio
-        ClusterRouter, ReplicaPolicy,                      # consistent-hash ring
+        ClusterRouter,                                     # consistent-hash ring
         BackendError, RequestError, TransportError,        # error taxonomy
         ClusterError, PipelineCancelled,
     )
@@ -18,7 +18,7 @@ Every serving path implements the same four-method
 :class:`RemoteBackend` speaks the length-prefixed JSON socket protocol of
 :class:`SocketServer` across a process or host boundary, and a
 :class:`ClusterRouter` consistent-hashes ``(dataset, request-hash)`` over
-member backends with per-dataset replication and failover — and is itself
+member backends with replication and failover — and is itself
 a backend, so clusters nest, and a server can front a ring (several
 processes on one host are a ring of spawned members).
 
@@ -30,7 +30,6 @@ from repro.serve.aio import AsyncRemoteBackend, AsyncSocketServer
 from repro.serve.backend import BaseBackend, ExecutionBackend, InProcessBackend
 from repro.serve.cluster import (
     ClusterRouter,
-    ReplicaPolicy,
     make_replica_policy,
     replica_policy_names,
     request_key,
@@ -69,7 +68,6 @@ __all__ = [
     "RemoteBackend",
     "RemoteRequestError",
     "RemoteServerError",
-    "ReplicaPolicy",
     "RequestError",
     "SocketServer",
     "SpawnedServer",

@@ -8,6 +8,9 @@ encode, server decode, backend compute, server encode, client decode in
 sequence.  This module pipelines those stages without touching the wire
 format:
 
+* :class:`EventLoopServer` — the one event-loop server lifecycle (bind on
+  a background loop thread, ``address``, ``serve_forever``, a ``close``
+  that drains every connection); the HTTP gateway is its other subclass.
 * :class:`AsyncSocketServer` — an asyncio server speaking the exact
   4-byte length-prefixed JSON framing of :mod:`repro.serve.transport`
   (same codec helpers, same :class:`~repro.serve.transport
@@ -79,6 +82,10 @@ DEFAULT_WINDOW = 64
 #: Most frames one server-side micro-batch dispatches per executor hop.
 DISPATCH_BATCH = 64
 
+#: Executor width of the asyncio server: at most this many backend calls
+#: run at once.
+DISPATCH_THREADS = 4
+
 #: Per-connection cap on decoded frames awaiting dispatch; beyond it the
 #: reader stops draining the socket and TCP backpressure reaches the
 #: client (its send window is the real limiter — this is a flood guard).
@@ -89,60 +96,36 @@ _EOF = object()
 
 
 # ---------------------------------------------------------------------------
-# Server
+# Servers
 # ---------------------------------------------------------------------------
 
-class AsyncSocketServer:
-    """Serve an :class:`~repro.serve.backend.ExecutionBackend` over TCP
-    with pipelined (many-in-flight) frame handling.
+class EventLoopServer:
+    """The event-loop core under both asyncio front doors
+    (:class:`AsyncSocketServer` and the HTTP
+    :class:`~repro.gateway.app.HttpGateway`).
 
-    >>> server = AsyncSocketServer(backend, port=0).start()  # doctest: +SKIP
-    >>> AsyncRemoteBackend(server.address).select(request)   # doctest: +SKIP
-
-    The event loop runs in a dedicated background thread (``start()``) so
-    the server embeds in synchronous code exactly like the threaded
-    :class:`~repro.serve.transport.SocketServer`; ``serve_forever()``
-    blocks the calling thread until :meth:`close` (the CLI server mode).
-
-    Each connection's frames are dispatched in adaptive micro-batches: a
-    consumer task drains everything the reader has queued, one executor
-    hop runs the whole burst through the shared dispatcher, and one write
-    flushes the replies.  The pipelining win is paying the cross-thread
-    handoff and write syscall per *burst* instead of per round trip,
-    while the reader keeps decoding the next frames in parallel.
-
-    Parameters
-    ----------
-    backend:
-        Any execution backend (engine, workspace, even a whole cluster).
-    host, port:
-        Bind address (``port=0``: ephemeral).
-    own_backend:
-        Close the backend when the server closes.
-    dispatch_threads:
-        Executor width for backend dispatch: at most this many backend
-        calls run at once.  Batches from one connection are serial by
-        construction, so the calls that overlap come from different
-        connections.
+    The loop runs on a background thread, so a server embeds in
+    synchronous code like the threaded
+    :class:`~repro.serve.transport.SocketServer`: ``start()`` returns once
+    the socket is bound (a bind failure re-raises as
+    :class:`TransportError`), ``address`` is the bound ``(host, port)``,
+    ``serve_forever()`` blocks until :meth:`close`, and ``close()`` stops
+    the loop, aborts the live transports so every reader wakes with EOF,
+    gathers the handler tasks, then releases the subclass's resources and
+    an owned backend.  A subclass supplies the conversation on one
+    connection, :meth:`_handle_connection`.
     """
 
-    def __init__(
-        self,
-        backend,
-        host: str = DEFAULT_HOST,
-        port: int = 0,
-        own_backend: bool = False,
-        dispatch_threads: int = 4,
-    ):
+    #: Name of the background event-loop thread.
+    thread_name = "aio-server"
+    #: Buffer limit of each connection's ``StreamReader`` (asyncio's default).
+    stream_limit = 1 << 16
+
+    def __init__(self, backend, host: str, port: int, own_backend: bool):
         self.backend = backend
-        self._dispatcher = BackendDispatcher(backend)
         self._own_backend = own_backend
         self._bind_host = host
         self._bind_port = port
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, dispatch_threads),
-            thread_name_prefix="aio-dispatch",
-        )
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -158,17 +141,17 @@ class AsyncSocketServer:
     def address(self) -> tuple:
         """The bound ``(host, port)`` (after :meth:`start`)."""
         if self._address is None:
-            raise TransportError("AsyncSocketServer has not been started")
+            raise TransportError(f"{type(self).__name__} has not been started")
         return self._address
 
-    def start(self) -> "AsyncSocketServer":
+    def start(self):
         """Bind and serve on a background event loop; returns ``self``
         once the address is bound (startup failures re-raise here)."""
         if self._closed:
-            raise TransportError("AsyncSocketServer is closed")
+            raise TransportError(f"{type(self).__name__} is closed")
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._run_loop, daemon=True, name="aio-server"
+                target=self._run_loop, daemon=True, name=self.thread_name
             )
             self._thread.start()
             self._started.wait()
@@ -200,19 +183,18 @@ class AsyncSocketServer:
                 pass
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        self._executor.shutdown(wait=False)
+        self._release()
         if self._own_backend:
             self.backend.close()
 
-    def __enter__(self) -> "AsyncSocketServer":
+    def _release(self) -> None:
+        """Free what the subclass holds besides the loop (it has stopped)."""
+
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- protocol ------------------------------------------------------------
-    def handle_message(self, message) -> dict:
-        return self._dispatcher.handle_message(message)
 
     # -- event loop ----------------------------------------------------------
     def _run_loop(self) -> None:
@@ -224,11 +206,12 @@ class AsyncSocketServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self._handler_tasks: set = set()
-        self._transports: set = set()
+        self._handler_tasks = set()
+        self._transports = set()
         try:
             server = await asyncio.start_server(
-                self._handle_connection, self._bind_host, self._bind_port
+                self._serve_connection, self._bind_host, self._bind_port,
+                limit=self.stream_limit,
             )
         except OSError as error:
             self._startup_error = error
@@ -241,12 +224,86 @@ class AsyncSocketServer:
         # Graceful teardown without cancelling handler tasks (a cancelled
         # streams handler trips asyncio's done-callback logging on 3.11):
         # abort the live transports so every reader wakes with EOF, then
-        # wait for the handlers to drain their in-flight frames and exit.
+        # wait for the handlers to drain their in-flight work and exit.
         for transport in list(self._transports):
             transport.abort()
         if self._handler_tasks:
             await asyncio.gather(*self._handler_tasks,
                                  return_exceptions=True)
+
+    async def _serve_connection(self, reader, writer) -> None:
+        handler = asyncio.current_task()
+        if handler is not None:
+            self._handler_tasks.add(handler)
+        self._transports.add(writer.transport)
+        try:
+            await self._handle_connection(reader, writer)
+        except (ConnectionError, OSError):
+            pass  # the peer vanished; the conversation is over
+        finally:
+            self._transports.discard(writer.transport)
+            if handler is not None:
+                self._handler_tasks.discard(handler)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _handle_connection(self, reader, writer) -> None:
+        """The conversation on one connection, until EOF or a fault."""
+        raise NotImplementedError
+
+
+class AsyncSocketServer(EventLoopServer):
+    """Serve an :class:`~repro.serve.backend.ExecutionBackend` over TCP
+    with pipelined (many-in-flight) frame handling.
+
+    >>> server = AsyncSocketServer(backend, port=0).start()  # doctest: +SKIP
+    >>> AsyncRemoteBackend(server.address).select(request)   # doctest: +SKIP
+
+    The lifecycle is :class:`EventLoopServer`'s; ``serve_forever()``
+    blocks the calling thread until :meth:`close` (the CLI server mode).
+
+    Each connection's frames are dispatched in adaptive micro-batches: a
+    consumer task drains everything the reader has queued, one executor
+    hop runs the whole burst through the shared dispatcher, and one write
+    flushes the replies.  The pipelining win is paying the cross-thread
+    handoff and write syscall per *burst* instead of per round trip,
+    while the reader keeps decoding the next frames in parallel.  At most
+    :data:`DISPATCH_THREADS` backend calls run at once; batches from one
+    connection are serial by construction, so the calls that overlap come
+    from different connections.
+
+    Parameters
+    ----------
+    backend:
+        Any execution backend (engine, workspace, even a whole cluster).
+    host, port:
+        Bind address (``port=0``: ephemeral).
+    own_backend:
+        Close the backend when the server closes.
+    """
+
+    def __init__(
+        self,
+        backend,
+        host: str = DEFAULT_HOST,
+        port: int = 0,
+        own_backend: bool = False,
+    ):
+        super().__init__(backend, host, port, own_backend)
+        self._dispatcher = BackendDispatcher(backend)
+        self._executor = ThreadPoolExecutor(
+            max_workers=DISPATCH_THREADS, thread_name_prefix="aio-dispatch",
+        )
+
+    def _release(self) -> None:
+        self._executor.shutdown(wait=False)
+
+    # -- protocol ------------------------------------------------------------
+    def handle_message(self, message) -> dict:
+        return self._dispatcher.handle_message(message)
 
     def _dispatch_batch(self, batch: list) -> Optional[bytes]:
         """Dispatch a burst of frames and encode their replies (runs on an
@@ -300,10 +357,6 @@ class AsyncSocketServer:
                 return
 
     async def _handle_connection(self, reader, writer) -> None:
-        handler = asyncio.current_task()
-        if handler is not None:
-            self._handler_tasks.add(handler)
-        self._transports.add(writer.transport)
         queue: asyncio.Queue = asyncio.Queue(maxsize=QUEUE_DEPTH)
         consumer = asyncio.create_task(self._consume_frames(queue, writer))
         try:
@@ -330,8 +383,6 @@ class AsyncSocketServer:
                     if not put.done():
                         put.cancel()
                         break
-        except (ConnectionError, OSError):
-            pass
         finally:
             if not consumer.done():
                 # Wake the consumer without cancelling it: in-flight
@@ -341,14 +392,6 @@ class AsyncSocketServer:
                 except asyncio.QueueFull:
                     consumer.cancel()
             await asyncio.gather(consumer, return_exceptions=True)
-            self._transports.discard(writer.transport)
-            if handler is not None:
-                self._handler_tasks.discard(handler)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,16 @@ servers, bare engines, or nested clusters — and routes every
 request by a **consistent-hash ring** keyed on ``(dataset,
 request-hash)``:
 
-* each member contributes ``vnodes`` virtual points to the ring (hashed
-  from its *name*, so the placement is stable across processes and
-  restarts — the same request always lands on the same member, which is
-  what keeps the members' selection LRUs sharded and warm);
+* each member contributes :data:`DEFAULT_VNODES` virtual points to the
+  ring (hashed from its *name*, so the placement is stable across
+  processes and restarts — the same request always lands on the same
+  member, which is what keeps the members' selection LRUs sharded and
+  warm);
 * a request's key is a stable content hash of its wire form, prefixed by
   its dataset, so affinity follows content, not arrival order;
-* the first ``r`` *distinct* members clockwise from the key are its
-  replica set, where ``r`` is the per-dataset replication factor
-  (``dataset_replication`` overrides the default ``replication``);
-* a pluggable :class:`ReplicaPolicy` picks which live replica **serves
+* the first ``replication`` *distinct* members clockwise from the key
+  are its replica set;
+* one of four named replica policies picks which live replica **serves
   the read** — ``"primary"`` always reads from the first replica in ring
   order (maximally warm LRUs, replicas are pure failover standbys),
   ``"round_robin"`` rotates reads across the replica set (every replica
@@ -54,6 +54,7 @@ from repro.api.request import SelectionRequest, SelectionResponse
 from repro.serve.backend import BaseBackend
 from repro.serve.errors import BackendError, ClusterError, RequestError
 
+#: Virtual points per member on the ring.
 DEFAULT_VNODES = 64
 
 
@@ -61,9 +62,8 @@ def request_key(request: SelectionRequest) -> bytes:
     """The ``(dataset, request-content)`` ring key of one request.
 
     The key is the full wire form (stable across processes — never
-    ``hash()``, which is salted per interpreter) prefixed by the dataset,
-    so per-dataset replication reads naturally off the key; the ring hashes
-    it with one :func:`stable_hash64` pass.
+    ``hash()``, which is salted per interpreter) prefixed by the dataset;
+    the ring hashes it with one :func:`stable_hash64` pass.
     """
     return f"{request.dataset or ''}\x1f{request.to_json()}".encode("utf-8")
 
@@ -202,10 +202,8 @@ def replica_policy_names() -> list:
     return sorted(_REPLICA_POLICIES)
 
 
-def make_replica_policy(policy: "str | ReplicaPolicy") -> ReplicaPolicy:
-    """Resolve a policy name (or pass an instance through)."""
-    if isinstance(policy, ReplicaPolicy):
-        return policy
+def make_replica_policy(policy: str) -> ReplicaPolicy:
+    """A fresh policy of one of the :func:`replica_policy_names`."""
     try:
         return _REPLICA_POLICIES[policy]()
     except KeyError:
@@ -230,20 +228,14 @@ class ClusterRouter(BaseBackend):
         (then named ``member-0``, ``member-1``, ... in order).  Names place
         the vnodes, so keep them stable across restarts.
     replication:
-        Default replica-set size per request (clamped to the member
-        count).  ``1`` disables failover.
-    dataset_replication:
-        Per-dataset overrides, ``{dataset_name: replicas}`` — hot datasets
-        can replicate wider than the default.
+        Replica-set size per request (clamped to the member count).
+        ``1`` disables failover.
     replica_policy:
         Which live replica serves each read: ``"primary"`` (default —
         ring order, replicas are failover-only), ``"round_robin"``,
-        ``"hash"`` (cache-affine load spread), ``"least_inflight"``, or
-        a :class:`ReplicaPolicy` instance.
+        ``"hash"`` (cache-affine load spread) or ``"least_inflight"``.
         Failover-on-:class:`BackendError` semantics are identical under
         every policy; only the first replica *tried* changes.
-    vnodes:
-        Virtual points per member on the ring (more = smoother balance).
     own_members:
         Close the members when the router closes.
     """
@@ -254,9 +246,7 @@ class ClusterRouter(BaseBackend):
         self,
         members: Sequence,
         replication: int = 2,
-        dataset_replication: Optional[dict] = None,
-        replica_policy: "str | ReplicaPolicy" = "primary",
-        vnodes: int = DEFAULT_VNODES,
+        replica_policy: str = "primary",
         own_members: bool = True,
     ):
         super().__init__()
@@ -264,8 +254,6 @@ class ClusterRouter(BaseBackend):
             raise ValueError("a cluster needs at least one member")
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self._members: list[_Member] = []
         for index, entry in enumerate(members):
             if isinstance(entry, tuple):
@@ -277,9 +265,8 @@ class ClusterRouter(BaseBackend):
         if len(set(names)) != len(names):
             raise ValueError(f"member names must be unique, got {names}")
         self.replication = replication
-        self.dataset_replication = dict(dataset_replication or {})
+        self._set_size = min(replication, len(self._members))
         self.replica_policy = make_replica_policy(replica_policy)
-        self.vnodes = vnodes
         self._own_members = own_members
         #: Trace of the most recently served ``select`` — delegated from
         #: the member that answered, so a front door (the HTTP gateway)
@@ -296,7 +283,7 @@ class ClusterRouter(BaseBackend):
         self._suspect_lock = threading.Lock()
         ring = []
         for index, member in enumerate(self._members):
-            for vnode in range(vnodes):
+            for vnode in range(DEFAULT_VNODES):
                 point = stable_hash64(f"{member.name}#{vnode}".encode("utf-8"))
                 ring.append((point, index))
         ring.sort()
@@ -308,10 +295,6 @@ class ClusterRouter(BaseBackend):
     def member_names(self) -> list[str]:
         return [member.name for member in self._members]
 
-    def _effective_replication(self, dataset: Optional[str]) -> int:
-        r = self.dataset_replication.get(dataset, self.replication)
-        return max(1, min(int(r), len(self._members)))
-
     def replicas_for(self, request: SelectionRequest) -> list[str]:
         """Member names of the request's replica set, ring order (the first
         is the primary while every member is live)."""
@@ -320,7 +303,6 @@ class ClusterRouter(BaseBackend):
     def _replica_indices(
         self, request: SelectionRequest, point: Optional[int] = None,
     ) -> list[int]:
-        wanted = self._effective_replication(request.dataset)
         if point is None:
             point = stable_hash64(request_key(request))
         start = bisect.bisect(self._ring_points, point)
@@ -330,7 +312,7 @@ class ClusterRouter(BaseBackend):
             index = self._ring_members[(start + step) % n]
             if index not in chosen:
                 chosen.append(index)
-                if len(chosen) == wanted:
+                if len(chosen) == self._set_size:
                     break
         return chosen
 
@@ -348,10 +330,9 @@ class ClusterRouter(BaseBackend):
     def _count_traffic(self, requests: Sequence[SelectionRequest]) -> None:
         """Per-dataset traffic counters (``None`` = the unnamed dataset).
 
-        This is the observability feed for replication planning: a hot
+        This is the observability feed for capacity planning: a hot
         dataset shows up here long before its members saturate, so an
-        operator (or a future auto-policy) can widen its
-        ``dataset_replication`` entry.
+        operator sees which dataset needs more members or replicas.
         """
         with self._suspect_lock:
             self._dataset_traffic.update(
@@ -572,9 +553,7 @@ class ClusterRouter(BaseBackend):
                         for member, is_dead in zip(self._members, dead)]
         payload.update({
             "replication": self.replication,
-            "dataset_replication": dict(self.dataset_replication),
             "replica_policy": self.replica_policy.name,
-            "vnodes": self.vnodes,
             "failovers": self._failovers,
             # None keys (the unnamed dataset) are JSON-hostile: label them.
             "datasets": {

@@ -613,17 +613,23 @@ class RemoteBackend(BaseBackend):
 
 
 # ---------------------------------------------------------------------------
-# Subprocess servers (benchmarks, tests, CLI-free embedding)
+# Building servers: ``serve`` and spawned child processes
 # ---------------------------------------------------------------------------
 
-def _build_server(backend, host, port, transport, tenants=None,
-                  http_cache_size=0):
-    """The bound server of one spawned child process.
+#: Seconds a spawned server has to report its bound address.
+STARTUP_TIMEOUT = 120.0
+
+
+def _build_server(backend, host, port, transport, tenants=None, cache_size=0):
+    """The bound server that exposes ``backend`` over ``transport`` — the
+    one map from a transport name to a server, for ``serve`` and for
+    spawned children.  The server owns ``backend``.
 
     ``"socket"``/``"asyncio"`` speak the length-prefixed framing;
     ``"http"`` stands the JSON gateway up over the same backend
-    (``tenants``: optional path of a tenants config file;
-    ``http_cache_size``: response-cache entries, 0 = off).
+    (``tenants``: a parsed :class:`~repro.gateway.tenants.TenantRegistry`,
+    ``None`` for an open gateway; ``cache_size``: response-cache entries,
+    0 = off).
     """
     if transport == "asyncio":
         from repro.serve.aio import AsyncSocketServer
@@ -632,13 +638,9 @@ def _build_server(backend, host, port, transport, tenants=None,
                                  own_backend=True).start()
     if transport == "http":
         from repro.gateway.app import HttpGateway
-        from repro.gateway.tenants import TenantRegistry
 
-        registry = (TenantRegistry.from_file(tenants)
-                    if tenants is not None else None)
-        return HttpGateway(backend, host=host, port=port,
-                           tenants=registry, own_backend=True,
-                           cache_size=http_cache_size).start()
+        return HttpGateway(backend, host=host, port=port, tenants=tenants,
+                           own_backend=True, cache_size=cache_size).start()
     return SocketServer(backend, host=host, port=port, own_backend=True)
 
 
@@ -657,14 +659,11 @@ def _build_backend(source: tuple) -> BaseBackend:
 
 def _server_process_main(
     conn: Any, source: tuple, host: str, port: int, transport: str,
-    tenants: Optional[str], http_cache_size: int,
 ) -> None:
     signal.signal(signal.SIGTERM, lambda *args: sys.exit(0))
     try:
         backend = _build_backend(source)
-        server = _build_server(backend, host, port, transport,
-                               tenants=tenants,
-                               http_cache_size=http_cache_size)
+        server = _build_server(backend, host, port, transport)
     # Crossing a process boundary: the failure text travels back over the
     # pipe and _spawn_server re-wraps it as a typed TransportError.
     except Exception as error:  # reprolint: ignore[error-taxonomy]
@@ -731,23 +730,19 @@ def spawn_artifact_server(
     algorithm: Optional[str] = None,
     host: str = DEFAULT_HOST,
     port: int = 0,
-    startup_timeout: float = 120.0,
     transport: str = "socket",
-    tenants: "Optional[str | Path]" = None,
-    http_cache_size: int = 0,
 ) -> SpawnedServer:
     """Start a socket server over ``artifact`` in a child process.
 
     The child warm-starts one engine via ``Engine.load`` — the
     paper's phase split is what makes spawning a member this cheap — binds
     ``host:port`` (``port=0``: ephemeral), and reports the bound address
-    back before serving.  ``transport`` picks the threaded
-    :class:`SocketServer` (``"socket"``) or the pipelined
-    :class:`~repro.serve.aio.AsyncSocketServer` (``"asyncio"``); both
-    speak the same framing, so either client connects to either —
-    or the HTTP/JSON gateway (``"http"``, optionally with a ``tenants``
-    config path; connect with
-    :class:`~repro.gateway.client.HttpBackend`).  This is
+    back before serving (within :data:`STARTUP_TIMEOUT`).  ``transport``
+    picks the threaded :class:`SocketServer` (``"socket"``) or the
+    pipelined :class:`~repro.serve.aio.AsyncSocketServer` (``"asyncio"``);
+    both speak the same framing, so either client connects to either —
+    or the open HTTP/JSON gateway (``"http"``, no response cache; connect
+    with :class:`~repro.gateway.client.HttpBackend`).  This is
     how the cluster benchmarks and the failover tests stand up members on
     one machine; production members are the same server started on real
     hosts (``python -m repro serve --transport socket|asyncio|http``).
@@ -756,9 +751,7 @@ def spawn_artifact_server(
         f"server over {artifact}",
         ("artifact", str(artifact),
          dict(cache_size=cache_size, algorithm=algorithm)),
-        host=host, port=port, startup_timeout=startup_timeout,
-        transport=transport, tenants=tenants,
-        http_cache_size=http_cache_size,
+        host=host, port=port, transport=transport,
     )
 
 
@@ -768,10 +761,7 @@ def spawn_store_server(
     cache_size: int = 256,
     host: str = DEFAULT_HOST,
     port: int = 0,
-    startup_timeout: float = 120.0,
     transport: str = "asyncio",
-    tenants: "Optional[str | Path]" = None,
-    http_cache_size: int = 0,
 ) -> SpawnedServer:
     """Start a *multi-dataset* server over an :class:`ArtifactStore` path.
 
@@ -781,23 +771,18 @@ def spawn_store_server(
     the zipf multi-dataset load harness drives.  Requests must carry
     ``dataset``; ``transport`` defaults to the pipelined asyncio server
     because that is what an open-loop client saturates.  ``"http"``
-    serves the same workspace through the JSON gateway (``tenants``:
-    optional tenants-config path; connect with
+    serves the same workspace through the open JSON gateway (connect with
     :class:`~repro.gateway.client.HttpBackend`).
     """
     return _spawn_server(
         f"store server over {store}",
         ("store", str(store), dict(capacity=capacity, cache_size=cache_size)),
-        host=host, port=port, startup_timeout=startup_timeout,
-        transport=transport, tenants=tenants,
-        http_cache_size=http_cache_size,
+        host=host, port=port, transport=transport,
     )
 
 
 def _spawn_server(
-    label: str, source: tuple, *, host: str, port: int,
-    startup_timeout: float, transport: str,
-    tenants: "Optional[str | Path]", http_cache_size: int,
+    label: str, source: tuple, *, host: str, port: int, transport: str,
 ) -> SpawnedServer:
     """Start a server over ``source`` (see :func:`_build_backend`) in a
     child process and return once it reports its bound address; ``label``
@@ -808,18 +793,17 @@ def _spawn_server(
     parent_conn, child_conn = context.Pipe()
     process = context.Process(
         target=_server_process_main,
-        args=(child_conn, source, host, port, transport,
-              None if tenants is None else str(tenants), http_cache_size),
+        args=(child_conn, source, host, port, transport),
         daemon=True,
     )
     process.start()
     child_conn.close()
-    if not parent_conn.poll(startup_timeout):
+    if not parent_conn.poll(STARTUP_TIMEOUT):
         process.terminate()
         process.join(timeout=5.0)
         raise TransportError(
             f"{label} did not report an address within "
-            f"{startup_timeout:.0f}s"
+            f"{STARTUP_TIMEOUT:.0f}s"
         )
     status, detail = parent_conn.recv()
     parent_conn.close()

@@ -1,4 +1,5 @@
-"""Tests for the asyncio transport (AsyncSocketServer, AsyncRemoteBackend).
+"""Tests for the asyncio transport (AsyncSocketServer, AsyncRemoteBackend)
+and the event-loop server core it shares with the HTTP gateway.
 
 The pipelined transport's load-bearing contracts: the wire format is
 unchanged (either client speaks to either server), request ids correlate
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from repro.api import SelectionRequest, SelectionResponse
+from repro.gateway import HttpGateway
 from repro.serve import (
     AsyncRemoteBackend,
     AsyncSocketServer,
@@ -58,35 +60,58 @@ class SlowBackend(BaseBackend):
         return [self.select(request) for request in requests]
 
 
+def _loop_threads() -> set:
+    """The live event-loop threads of the asyncio front doors."""
+    return {thread for thread in threading.enumerate()
+            if thread.name in ("aio-server", "http-server")}
+
+
 class TestServerLifecycle:
+    """The event-loop core's lifecycle on the asyncio socket server;
+    :class:`TestHttpGatewayLifecycle` runs the same tests on the gateway."""
+
+    server_class = AsyncSocketServer
+
     def test_address_requires_start(self, fitted_engine):
-        server = AsyncSocketServer(InProcessBackend(fitted_engine))
+        before = _loop_threads()
+        server = self.server_class(InProcessBackend(fitted_engine))
         with pytest.raises(TransportError, match="not been started"):
             server.address
         server.start()
         host, port = server.address
         assert port > 0
         server.close()
+        assert not _loop_threads() - before
 
     def test_start_is_idempotent_and_close_owns_backend(self, fitted_engine):
+        before = _loop_threads()
         backend = InProcessBackend(fitted_engine)
-        server = AsyncSocketServer(backend, own_backend=True)
+        server = self.server_class(backend, own_backend=True)
         assert server.start() is server.start()
         server.close()
         server.close()  # idempotent
+        assert not _loop_threads() - before
         from repro.serve import BackendError
         with pytest.raises(BackendError, match="closed"):
             backend.select(SelectionRequest(k=3, l=3))
+        with pytest.raises(TransportError, match="is closed"):
+            server.start()
 
     def test_bind_failure_raises_transport_error(self, fitted_engine):
-        taken = AsyncSocketServer(InProcessBackend(fitted_engine)).start()
+        before = _loop_threads()
+        taken = self.server_class(InProcessBackend(fitted_engine)).start()
         _, port = taken.address
         try:
             with pytest.raises(TransportError, match="could not bind"):
-                AsyncSocketServer(InProcessBackend(fitted_engine),
+                self.server_class(InProcessBackend(fitted_engine),
                                   port=port).start()
         finally:
             taken.close()
+        assert not _loop_threads() - before
+
+
+class TestHttpGatewayLifecycle(TestServerLifecycle):
+    server_class = HttpGateway
 
 
 class TestWireCompatibility:

@@ -17,11 +17,33 @@ from repro.binning import (
     bin_numeric_column,
     fingerprint_vocab,
     make_token,
+    normalize_column,
     normalize_table,
     normalize_text,
 )
 from repro.frame.column import Column
 from repro.frame.frame import DataFrame
+
+
+#: Raw categorical cells: repeats, ``None``, control characters, tab and
+#: space runs, and strings that normalize to ``""``.
+_RAW_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from(["ok", " ok ", "a\tb", "a \t\t b", "\x00", " \t ",
+                     "\x07\x1f", "N/A", " nan ", "x\u200by"]),
+    st.text(alphabet=st.sampled_from(["a", "B", " ", "\t", "\n", "\r",
+                                      "\x00", "\x1f", "\u200b", "\u00e9"]),
+            max_size=8),
+)
+
+
+def _normalize_per_cell(column):
+    """The per-cell spelling of ``normalize_column``: every cell is
+    normalized on its own."""
+    values = [None if value is None else normalize_text(value)
+              for value in column.values]
+    values = [None if value == "" else value for value in values]
+    return Column(column.name, values, kind=column.kind)
 
 
 class TestNormalize:
@@ -38,6 +60,15 @@ class TestNormalize:
     def test_empty_string_becomes_missing(self):
         frame = DataFrame({"c": ["ok", "\x00"]})
         assert normalize_table(frame).column("c").n_missing() == 1
+
+    @given(st.lists(_RAW_CELLS, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_column_matches_the_per_cell_spelling(self, cells):
+        column = Column("c", cells, kind="categorical")
+        expected = _normalize_per_cell(column)
+        normalized = normalize_column(column)
+        assert normalized == expected
+        assert list(normalized.values) == list(expected.values)
 
 
 class TestNumericBinning:

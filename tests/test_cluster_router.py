@@ -14,11 +14,10 @@ from repro.serve import (
     ClusterError,
     ClusterRouter,
     InProcessBackend,
-    ReplicaPolicy,
     make_replica_policy,
     replica_policy_names,
 )
-from repro.serve.cluster import request_key
+from repro.serve.cluster import PrimaryPolicy, request_key
 
 
 class FlakyBackend(BaseBackend):
@@ -85,14 +84,6 @@ class TestRing:
             for i in range(40)
         }
         assert len(spread) > 1  # not everything on one member
-
-    def test_per_dataset_replication_override(self, members):
-        router = ClusterRouter(members, replication=1,
-                               dataset_replication={"hot": 3})
-        cold = SelectionRequest(k=3, l=3, dataset="cold")
-        hot = SelectionRequest(k=3, l=3, dataset="hot")
-        assert len(router.replicas_for(cold)) == 1
-        assert len(router.replicas_for(hot)) == 3
 
     def test_replication_clamped_to_member_count(self, fitted_engine):
         router = ClusterRouter([("solo", InProcessBackend(fitted_engine))],
@@ -183,12 +174,13 @@ class TestReplicaPolicies:
             "hash", "least_inflight", "primary", "round_robin",
         ]
         assert make_replica_policy("round_robin").name == "round_robin"
-        instance = make_replica_policy("primary")
-        assert make_replica_policy(instance) is instance
         with pytest.raises(ValueError, match="unknown replica policy"):
             make_replica_policy("fastest_guess")
         with pytest.raises(ValueError, match="unknown replica policy"):
             ClusterRouter([("a", object())], replica_policy="nope")
+        # A policy is chosen by name; an instance is not a name.
+        with pytest.raises(ValueError, match="unknown replica policy"):
+            ClusterRouter([("a", object())], replica_policy=PrimaryPolicy())
 
     def test_default_is_primary_failover_only(self, members, requests):
         router = ClusterRouter(members, replication=2)
@@ -320,21 +312,6 @@ class TestReplicaPolicies:
         # request errors still never fail over, whatever the policy
         with pytest.raises(ValueError, match="NOPE"):
             router.select(SelectionRequest(k=3, l=3, targets=("NOPE",)))
-
-    def test_custom_policy_instances_plug_in(self, fitted_engine, requests):
-        class AlwaysLast(ReplicaPolicy):
-            name = "always_last"
-
-            def order(self, point, indices, members):
-                return list(reversed(indices))
-
-        members = [("a", InProcessBackend(fitted_engine)),
-                   ("b", InProcessBackend(fitted_engine))]
-        router = ClusterRouter(members, replication=2,
-                               replica_policy=AlwaysLast())
-        assert router.stats()["replica_policy"] == "always_last"
-        responses = router.select_many(requests)
-        assert all(isinstance(r, SelectionResponse) for r in responses)
 
     def test_per_dataset_traffic_counters(self, members):
         router = ClusterRouter(members, replication=2)
