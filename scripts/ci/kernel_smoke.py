@@ -22,14 +22,15 @@ it is fitted from (the scope check fits its own 2,000-row bundle):
    (``repro.utils.blas.single_blas_thread``).  The check fails when
    numpy's build config names OpenBLAS but the scope found no library (a
    numpy upgrade that renamed the thread-count symbols would otherwise
-   switch the scope off silently).  It then fits the 2,000-row cyber
+   switch the scope off silently), and when a mapped OpenBLAS is not
+   driven (numpy and scipy each bundle one).  It then fits the 2,000-row cyber
    bundle (over 1,000 distinct rows, so the full-table and the larger
    session views are past the few hundred rows where OpenBLAS splits a
    GEMM across threads) and serves the full table and every session
    request through ``Engine.select``; each sub-table must equal the
    selector's own ``select`` called outside the scope, at the runner's
    default thread count.  The 300-row bundle is too small to show this.
-   The library path and both thread counts are printed.
+   Every driven library's path and both thread counts are printed.
 
 4. **Committed goldens** — the *discrete* selection content (row
    indices, columns, targets; never float cells) of nine families is
@@ -168,6 +169,7 @@ def _one_blas_thread_leg() -> None:
     from repro.bench import load_bundle
     from repro.core.config import SubTabConfig
     from repro.utils.blas import (
+        _mapped_openblas_paths,
         loaded_openblas,
         numpy_links_openblas,
         single_blas_thread,
@@ -177,6 +179,12 @@ def _one_blas_thread_leg() -> None:
     assert libraries or not numpy_links_openblas(), (
         "kernel smoke [blas]: numpy links OpenBLAS but the one-thread scope "
         "found no library; cold selects would spin a second BLAS thread"
+    )
+    undriven = sorted(set(_mapped_openblas_paths())
+                      - {library.path for library in libraries})
+    assert not undriven, (
+        f"kernel smoke [blas]: the one-thread scope does not drive {undriven}; "
+        "their BLAS calls would spin a second thread"
     )
     default = [library.num_threads() for library in libraries]
     with single_blas_thread():
@@ -211,9 +219,12 @@ def _one_blas_thread_leg() -> None:
             f"kernel smoke [blas]: scoped select differs from the direct "
             f"selector call for {request}"
         )
+    print(f"kernel smoke [blas]: the scope drives {len(libraries)} "
+          f"OpenBLAS librar{'y' if len(libraries) == 1 else 'ies'}, every "
+          "one mapped")
     for library, count, scoped in zip(libraries, default, inside):
         print(f"kernel smoke [blas]: {library.path}: {count} thread(s) by "
-              f"default, {scoped} inside the select scope")
+              f"default, {scoped} inside the scope")
     if not libraries:
         print("kernel smoke [blas]: numpy links no OpenBLAS; the select "
               "scope is a no-op")

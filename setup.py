@@ -33,6 +33,7 @@ setup(
     install_requires=[
         "numpy",
         "networkx",
+        "scipy",
     ],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],

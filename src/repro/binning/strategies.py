@@ -27,6 +27,7 @@ from repro.binning.base import (
     make_range_bins,
 )
 from repro.frame.column import Column
+from repro.utils.blas import single_blas_thread
 
 KDE = "kde"
 EQUAL_WIDTH = "width"
@@ -69,9 +70,13 @@ def kde_edges(values: np.ndarray, n_bins: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         sample = rng.choice(sample, size=_KDE_MAX_SAMPLE, replace=False)
     try:
-        density_fn = gaussian_kde(sample)
-        grid = np.linspace(lo, hi, _KDE_GRID_SIZE)
-        density = density_fn(grid)
+        # A 1x1 Cholesky and triangular solves over at most _KDE_MAX_SAMPLE
+        # right-hand sides: a second BLAS thread only spins, and each
+        # solved value is the same on one thread.
+        with single_blas_thread():
+            density_fn = gaussian_kde(sample)
+            grid = np.linspace(lo, hi, _KDE_GRID_SIZE)
+            density = density_fn(grid)
     except np.linalg.LinAlgError:
         return _dedupe_edges(quantile_edges(values, n_bins), lo, hi)
 

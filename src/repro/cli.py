@@ -356,6 +356,7 @@ def _start_stats_reporter(server, interval: float):
 def _serve_socket(args) -> int:
     """Expose the backend the flags describe on a TCP address (server
     mode): an engine in this process, or the ``--connect`` members."""
+    from repro.serve import TransportError
     from repro.serve.transport import _build_server
 
     registry = None
@@ -369,8 +370,13 @@ def _serve_socket(args) -> int:
         except TenantConfigError as error:
             raise SystemExit(f"serve: {error}")
     backend, description = _build_serve_backend(args)
-    server = _build_server(backend, args.host, args.port, args.transport,
-                           tenants=registry, cache_size=args.http_cache_size)
+    try:
+        # The server owns the backend; a failed build has closed it.
+        server = _build_server(backend, args.host, args.port, args.transport,
+                               tenants=registry,
+                               cache_size=args.http_cache_size)
+    except TransportError as error:
+        raise SystemExit(f"serve: {error}")
     host, port = server.address
     tenancy = ("" if registry is None
                else f", tenants={len(registry)}")

@@ -14,6 +14,20 @@ the batch, accumulated with the dual-path grouped sums of
 :mod:`repro.core.kernels` (``label_matrix_sums`` / ``label_counts``), which
 add in input order and so handle repeated tokens within a batch exactly;
 ``REPRO_KERNEL=reference`` trains on their loop oracle, bit-identically.
+The center, context and negative gradients of a batch share one block,
+labelled by table (center ``t``, context ``V + t``, negative ``2V + t``),
+so one grouped sum and one count serve all three updates; each label
+holds exactly the rows its own sum would, in the same order.
+
+Each epoch is walked in chunks of ``_CHUNK_BATCHES`` batches.  A chunk
+gathers its pairs from the epoch's permutation once and draws the
+negative uniforms of all its batches with one ``Generator.random`` call.
+That call yields the same doubles, in the same order, as one call per
+batch would: ``random`` consumes one 64-bit output per double, chunks
+never cross an epoch (whose permutation is drawn before its first
+chunk), and nothing else draws in between.  :class:`NoiseSampler` maps
+the uniforms to token ids through an exact guide table over the noise
+CDF, returning exactly what ``np.searchsorted(cdf, uniform)`` returns.
 """
 
 from __future__ import annotations
@@ -51,6 +65,15 @@ class Word2VecConfig:
             raise ValueError("negatives must be positive")
         if self.context_samples < 1:
             raise ValueError("context_samples must be positive")
+
+
+#: Batches per chunk of an epoch: one gather of pairs and one uniform
+#: draw serve them all (at the default batch of 512 and 5 negatives, about
+#: 1.3 MB of uniforms and as much of token ids).
+_CHUNK_BATCHES = 64
+
+#: log2 of the guide table's bucket count.
+_GUIDE_BITS = 12
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -92,6 +115,49 @@ def sample_training_pairs(
     return pairs
 
 
+def noise_cdf(token_counts: np.ndarray, power: float) -> np.ndarray:
+    """The CDF of the unigram noise distribution, counts raised to
+    ``power`` (uniform when every count is zero)."""
+    weights = np.power(np.maximum(token_counts, 0).astype(np.float64), power)
+    if weights.sum() == 0:
+        weights = np.ones(len(token_counts))
+    cdf = np.cumsum(weights / weights.sum())
+    # Rounding can end the sum below the largest uniform draw,
+    # nextafter(1.0, 0.0), and searchsorted would then return
+    # vocab_size.  Pinning only the last entry moves no other draw.
+    cdf[-1] = 1.0
+    return cdf
+
+
+class NoiseSampler:
+    """Token ids for uniform draws: ``np.searchsorted(cdf, uniform)``,
+    through a guide table.
+
+    The entries of ``cdf`` before the last never descend and the last is
+    1.0, so searchsorted's answer for a draw is the first entry at or
+    above it, a real token for every draw in [0, 1), and it never
+    decreases as the draw grows.  The table cuts [0, 1) into
+    ``2**_GUIDE_BITS`` buckets, so a draw's bucket, ``floor(u * 2**bits)``,
+    is exact.  Where the answers at a bucket's two edges agree, every draw
+    inside it has that answer; only draws in the few buckets that hold a
+    CDF step run searchsorted.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        self.cdf = cdf
+        size = 1 << _GUIDE_BITS
+        edges = np.searchsorted(cdf, np.arange(size + 1) / size)
+        # A bucket's token where both edges agree, -1 where a step splits it.
+        self._guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
+    def tokens(self, uniform: np.ndarray) -> np.ndarray:
+        """Token ids (int64) of draws in [0, 1), shaped like ``uniform``."""
+        tokens = self._guide[(uniform * len(self._guide)).astype(np.intp)]
+        split = tokens < 0
+        tokens[split] = np.searchsorted(self.cdf, uniform[split])
+        return tokens.astype(np.int64, copy=False)
+
+
 class Word2Vec:
     """Trainable SGNS model over integer token ids.
 
@@ -110,30 +176,14 @@ class Word2Vec:
             -scale, scale, size=(vocab_size, self.config.dim)
         )
         self._context_vectors = np.zeros((vocab_size, self.config.dim))
-        self._noise_cdf: np.ndarray | None = None
-
-    # -- noise distribution ----------------------------------------------------
-    def _build_noise(self, token_counts: np.ndarray) -> None:
-        weights = np.power(np.maximum(token_counts, 0).astype(np.float64),
-                           self.config.noise_power)
-        if weights.sum() == 0:
-            weights = np.ones(self.vocab_size)
-        cdf = np.cumsum(weights / weights.sum())
-        # Rounding can end the sum below the largest uniform draw,
-        # nextafter(1.0, 0.0), and searchsorted would then return
-        # vocab_size.  Pinning only the last entry moves no other draw.
-        cdf[-1] = 1.0
-        self._noise_cdf = cdf
-
-    def _sample_negatives(self, shape) -> np.ndarray:
-        uniform = self._rng.random(shape)
-        return np.searchsorted(self._noise_cdf, uniform).astype(np.int64)
 
     # -- training -----------------------------------------------------------------
     def train(self, sentences: Sequence[np.ndarray]) -> "Word2Vec":
         """Train on the corpus; returns ``self`` for chaining."""
         config = self.config
-        self._build_noise(corpus_token_counts(sentences, self.vocab_size))
+        noise = NoiseSampler(noise_cdf(
+            corpus_token_counts(sentences, self.vocab_size), config.noise_power
+        ))
 
         pairs = sample_training_pairs(
             sentences, config.context_samples, config.max_pairs, self._rng
@@ -142,25 +192,33 @@ class Word2Vec:
             return self
 
         total_batches = config.epochs * max(1, int(np.ceil(len(pairs) / config.batch_size)))
+        chunk_rows = _CHUNK_BATCHES * config.batch_size
         batch_counter = 0
         for _ in range(config.epochs):
             order = self._rng.permutation(len(pairs))
-            for start in range(0, len(pairs), config.batch_size):
-                batch = pairs[order[start:start + config.batch_size]]
-                progress = batch_counter / total_batches
-                learning_rate = max(
-                    config.min_learning_rate,
-                    config.learning_rate * (1.0 - progress),
+            for chunk_start in range(0, len(pairs), chunk_rows):
+                chunk = pairs[order[chunk_start:chunk_start + chunk_rows]]
+                negatives = noise.tokens(
+                    self._rng.random((len(chunk), config.negatives))
                 )
-                self._train_batch(batch, learning_rate)
-                batch_counter += 1
+                for start in range(0, len(chunk), config.batch_size):
+                    stop = start + config.batch_size
+                    progress = batch_counter / total_batches
+                    learning_rate = max(
+                        config.min_learning_rate,
+                        config.learning_rate * (1.0 - progress),
+                    )
+                    self._train_batch(chunk[start:stop], negatives[start:stop],
+                                      learning_rate)
+                    batch_counter += 1
         return self
 
-    def _train_batch(self, batch: np.ndarray, learning_rate: float) -> None:
-        config = self.config
+    def _train_batch(self, batch: np.ndarray, negatives: np.ndarray,
+                     learning_rate: float) -> None:
+        vocab_size, dim = self.vectors.shape
+        size = len(batch)
         centers = batch[:, 0]
         contexts = batch[:, 1]
-        negatives = self._sample_negatives((len(batch), config.negatives))
 
         center_vecs = self.vectors[centers]                        # (B, d)
         context_vecs = self._context_vectors[contexts]             # (B, d)
@@ -175,43 +233,39 @@ class Word2Vec:
             np.einsum("bnd,bd->bn", negative_vecs, center_vecs)
         )                                                           # (B, neg)
 
-        grad_center = (
-            pos_error * context_vecs
-            + np.einsum("bn,bnd->bd", neg_scores, negative_vecs)
-        )
-        grad_context = pos_error * center_vecs
-        grad_negative = neg_scores[:, :, np.newaxis] * center_vecs[:, np.newaxis, :]
+        # One gradient block: center rows, then context rows, then
+        # negative rows, labelled by table (0, V, 2V offsets).
+        gradients = np.empty((size * (2 + negatives.shape[1]), dim))
+        grad_center = gradients[:size]
+        np.multiply(pos_error, context_vecs, out=grad_center)
+        grad_center += np.einsum("bn,bnd->bd", neg_scores, negative_vecs)
+        np.multiply(pos_error, center_vecs, out=gradients[size:2 * size])
+        np.multiply(neg_scores[:, :, np.newaxis], center_vecs[:, np.newaxis, :],
+                    out=gradients[2 * size:].reshape(negatives.shape + (dim,)))
+        labels = np.concatenate([centers, contexts + vocab_size,
+                                 negatives.reshape(-1) + 2 * vocab_size])
+        self._apply_mean_updates(labels, gradients, learning_rate)
 
-        # The table vocabulary is tiny relative to the batch, so each token
-        # appears many times per batch.  Summed scatter updates computed from
-        # stale vectors would multiply the effective step by the repetition
-        # count and diverge; averaging per token keeps steps bounded.
-        self._apply_mean_update(self.vectors, centers, grad_center, learning_rate)
-        self._apply_mean_update(
-            self._context_vectors, contexts, grad_context, learning_rate
-        )
-        self._apply_mean_update(
-            self._context_vectors,
-            negatives.reshape(-1),
-            grad_negative.reshape(-1, config.dim),
-            learning_rate,
-        )
+    def _apply_mean_updates(self, labels: np.ndarray, gradients: np.ndarray,
+                            learning_rate: float) -> None:
+        """Move each row by lr times the mean of its label's gradients:
+        labels ``t``, ``V + t`` and ``2V + t`` update ``vectors[t]``, then
+        ``_context_vectors[t]`` twice, in that order.
 
-    def _apply_mean_update(
-        self,
-        table: np.ndarray,
-        token_ids: np.ndarray,
-        gradients: np.ndarray,
-        learning_rate: float,
-    ) -> None:
-        """table[token] -= lr * mean of that token's gradients in the batch.
-
-        Tokens absent from the batch divide a +0.0 sum by 1 and stay put.
+        The table vocabulary is tiny relative to the batch, so each token
+        appears many times per batch.  Summed scatter updates computed
+        from stale vectors would multiply the effective step by the
+        repetition count and diverge; averaging per token keeps steps
+        bounded.  Tokens absent from the batch divide a +0.0 sum by 1 and
+        stay put.
         """
-        n_tokens = table.shape[0]
-        sums = label_matrix_sums(gradients, token_ids, n_tokens)
-        counts = label_counts(token_ids, n_tokens)
-        table -= learning_rate * (sums / np.maximum(counts, 1.0)[:, np.newaxis])
+        vocab_size = self.vocab_size
+        sums = label_matrix_sums(gradients, labels, 3 * vocab_size)
+        counts = label_counts(labels, 3 * vocab_size)
+        step = learning_rate * (sums / np.maximum(counts, 1.0)[:, np.newaxis])
+        self.vectors -= step[:vocab_size]
+        self._context_vectors -= step[vocab_size:2 * vocab_size]
+        self._context_vectors -= step[2 * vocab_size:]
 
     # -- queries ---------------------------------------------------------------
     def similarity(self, token_a: int, token_b: int) -> float:

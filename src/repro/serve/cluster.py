@@ -277,6 +277,11 @@ class ClusterRouter(BaseBackend):
         #: consumers match on the trace id.
         self.last_trace: Optional[dict] = None
         self._failovers = 0
+        #: Served selects per dataset (``None`` = the unnamed dataset): the
+        #: capacity-planning feed, where a hot dataset shows up long before
+        #: its members saturate.  A request counts once a member has served
+        #: it, so the keys are datasets some member holds and a client
+        #: naming unknown datasets adds none.
         self._dataset_traffic: Counter = Counter()
         # Guards the failure bookkeeping (_mark_failed / _failovers), which
         # member drain threads update concurrently.
@@ -326,18 +331,6 @@ class ClusterRouter(BaseBackend):
         live = [i for i in ordered if not self._members[i].dead]
         dead = [i for i in ordered if self._members[i].dead]
         return live + dead
-
-    def _count_traffic(self, requests: Sequence[SelectionRequest]) -> None:
-        """Per-dataset traffic counters (``None`` = the unnamed dataset).
-
-        This is the observability feed for capacity planning: a hot
-        dataset shows up here long before its members saturate, so an
-        operator sees which dataset needs more members or replicas.
-        """
-        with self._suspect_lock:
-            self._dataset_traffic.update(
-                request.dataset for request in requests
-            )
 
     def _begin_inflight(self, index: int, count: int = 1) -> None:
         with self._suspect_lock:
@@ -403,6 +396,7 @@ class ClusterRouter(BaseBackend):
             with self._suspect_lock:
                 member.dead = False  # served fine: clear any stale suspicion
                 member.served += 1
+                self._dataset_traffic[request.dataset] += 1
                 if attempts or prior_failure:
                     # This request was actually re-served after a member
                     # failure — that, and only that, is a failover.
@@ -416,7 +410,6 @@ class ClusterRouter(BaseBackend):
 
     def select(self, request: SelectionRequest) -> SelectionResponse:
         self._require_open()
-        self._count_traffic([request])
         start = time.perf_counter()
         try:
             response = self._serve_with_failover(request)
@@ -451,20 +444,20 @@ class ClusterRouter(BaseBackend):
         else:
             backend_errors = [e for e in entries
                               if isinstance(e, BackendError)]
-            served = sum(
-                1 for e in entries if isinstance(e, SelectionResponse)
-            )
+            served = [request for request, entry in zip(requests, entries)
+                      if isinstance(entry, SelectionResponse)]
             if backend_errors:
                 # A nested router reports member-level failure as entries
                 # rather than raising; that still means this member could
                 # not serve — suspect it, don't bless it.
                 self._mark_failed(index, backend_errors[0])
-                with self._suspect_lock:
-                    member.served += served
-            else:
-                with self._suspect_lock:
+            with self._suspect_lock:
+                if not backend_errors:
                     member.dead = False
-                    member.served += served
+                member.served += len(served)
+                self._dataset_traffic.update(
+                    request.dataset for request in served
+                )
         finally:
             self._end_inflight(index, len(requests))
         return [(position, entry)
@@ -476,7 +469,6 @@ class ClusterRouter(BaseBackend):
         raise_on_error: bool = True,
     ) -> list:
         self._require_open()
-        self._count_traffic(requests)
         start = time.perf_counter()
         # One serialization + hash per request, reused by the failover pass.
         points = [stable_hash64(request_key(request)) for request in requests]
@@ -545,7 +537,7 @@ class ClusterRouter(BaseBackend):
         failed, and a down host would cost its connect timeout on every
         poll.  A select it serves, or :meth:`revive`, brings it back."""
         payload = super().stats()
-        with self._suspect_lock:  # _count_traffic mutates concurrently
+        with self._suspect_lock:  # serving threads count concurrently
             traffic = dict(self._dataset_traffic)
             dead = [member.dead for member in self._members]
         # Member calls may block on a socket: never under _suspect_lock.

@@ -338,6 +338,9 @@ class SocketServer:
     those threads call the backend concurrently: one server runs as many
     backend calls at once as it has connections with a call in flight.
 
+    The constructor binds; a bind failure raises :class:`TransportError`
+    ("could not bind ..."), as the asyncio servers' ``start()`` does.
+
     Parameters
     ----------
     backend:
@@ -358,7 +361,12 @@ class SocketServer:
         self.backend = backend
         self._own_backend = own_backend
         self._dispatcher = BackendDispatcher(backend)
-        self._server = _ThreadingTCPServer((host, port), _ConnectionHandler)
+        try:
+            self._server = _ThreadingTCPServer((host, port), _ConnectionHandler)
+        except OSError as error:
+            raise TransportError(
+                f"could not bind {host}:{port}: {type(error).__name__}: {error}"
+            ) from error
         self._server.owner = self
         self._thread: Optional[threading.Thread] = None
         self._closed = False
@@ -629,19 +637,30 @@ def _build_server(backend, host, port, transport, tenants=None, cache_size=0):
     ``"http"`` stands the JSON gateway up over the same backend
     (``tenants``: a parsed :class:`~repro.gateway.tenants.TenantRegistry`,
     ``None`` for an open gateway; ``cache_size``: response-cache entries,
-    0 = off).
+    0 = off).  A bind failure raises :class:`TransportError` ("could not
+    bind ...") after closing ``backend``, which no server then owns.
     """
-    if transport == "asyncio":
-        from repro.serve.aio import AsyncSocketServer
+    try:
+        if transport == "asyncio":
+            from repro.serve.aio import AsyncSocketServer
 
-        return AsyncSocketServer(backend, host=host, port=port,
-                                 own_backend=True).start()
-    if transport == "http":
-        from repro.gateway.app import HttpGateway
+            server = AsyncSocketServer(backend, host=host, port=port,
+                                       own_backend=True)
+        elif transport == "http":
+            from repro.gateway.app import HttpGateway
 
-        return HttpGateway(backend, host=host, port=port, tenants=tenants,
-                           own_backend=True, cache_size=cache_size).start()
-    return SocketServer(backend, host=host, port=port, own_backend=True)
+            server = HttpGateway(backend, host=host, port=port, tenants=tenants,
+                                 own_backend=True, cache_size=cache_size)
+        else:
+            return SocketServer(backend, host=host, port=port, own_backend=True)
+    except BaseException:
+        backend.close()
+        raise
+    try:
+        return server.start()
+    except BaseException:
+        server.close()  # frees what the server holds, and closes the backend
+        raise
 
 
 def _build_backend(source: tuple) -> BaseBackend:

@@ -10,12 +10,16 @@ a cold session stream it burnt as much CPU as the selects themselves.
 entry and restores the saved count when the last concurrent holder
 leaves; scikit-learn's KMeans wraps its Lloyd loop in the same policy.  A
 GEMM's result does not depend on the thread count (threads split the
-output, never the inner products), so the scope changes no bits.
+output, never the inner products), so the scope changes no bits.  Fits
+enter it too, around KDE binning's ``gaussian_kde``: its 1x1 Cholesky and
+triangular solves run on scipy's OpenBLAS, and each solved value is the
+same on any thread count.
 
 The libraries are found on first use (never at import) in
-``/proc/self/maps``.  Each one found is driven through the first known
-get/set symbol pair it exports; where no OpenBLAS is loaded (MKL,
-Accelerate, a platform without ``/proc``) the scope does nothing.
+``/proc/self/maps``: numpy and scipy wheels each bundle their own
+OpenBLAS, and both are driven.  Each one found is driven through the
+first known get/set symbol pair it exports; where no OpenBLAS is loaded
+(MKL, Accelerate, a platform without ``/proc``) the scope does nothing.
 ``OPENBLAS_NUM_THREADS`` still sets the count outside the scope.
 """
 
@@ -30,10 +34,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-#: (getter, setter) symbol pairs, in the order they are tried: numpy's
-#: and scipy's bundled builds first, then stock ILP64 and LP64 builds.
+#: (getter, setter) symbol pairs, in the order they are tried: the
+#: bundled builds first (numpy's ILP64 one, ``libscipy_openblas64_``, and
+#: scipy's LP64 one, ``libscipy_openblas``), then stock ILP64 and LP64
+#: builds.
 _SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )

@@ -8,14 +8,18 @@ two BLAS threads at a size where OpenBLAS splits the GEMM.  The
 OpenBLAS-only cases skip only when numpy is built against another BLAS.
 """
 
+import contextlib
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import repro  # noqa: F401  (loads scipy, and with it scipy's own OpenBLAS)
+from repro.binning import TableBinner, normalize_table, strategies
 from repro.cluster import KMeans
 from repro.cluster.centroids import select_representatives
+from repro.datasets import make_dataset
 from repro.utils import blas
 from repro.utils.blas import loaded_openblas, single_blas_thread
 
@@ -48,6 +52,14 @@ def two_threads():
 class TestScope:
     def test_finds_the_openblas_numpy_links(self):
         assert loaded_openblas()
+
+    def test_drives_every_mapped_openblas(self, two_threads):
+        """numpy's wheel and scipy's each bundle an OpenBLAS (ILP64 and
+        LP64 symbol names): the scope drives every one mapped."""
+        mapped = blas._mapped_openblas_paths()
+        assert sorted(library.path for library in two_threads) == sorted(mapped)
+        with single_blas_thread():
+            assert counts(two_threads) == [1] * len(mapped)
 
     def test_one_thread_inside_saved_count_after(self, two_threads):
         with single_blas_thread():
@@ -113,6 +125,22 @@ class TestScope:
             assert counts(two_threads) == [1] * len(two_threads)
             on_one_thread = cluster()
         assert on_one_thread == on_two_threads
+
+
+@needs_openblas
+def test_kde_binning_is_bit_identical_to_two_threads(two_threads, monkeypatch):
+    """KDE binning's solves run inside the scope; with the scope taken out
+    they run on two threads, and the token ids and vocabulary are the
+    same bytes."""
+    frame = normalize_table(make_dataset("flights", n_rows=2_000, seed=1).frame)
+    binner = TableBinner()
+    scoped = binner.bin_table(frame)
+    monkeypatch.setattr(strategies, "single_blas_thread", contextlib.nullcontext)
+    unscoped = binner.bin_table(frame)
+    assert counts(two_threads) == [2] * len(two_threads)
+    assert scoped.token_ids.tobytes() == unscoped.token_ids.tobytes()
+    assert scoped.vocab == unscoped.vocab
+    assert scoped.vocab_fingerprint == unscoped.vocab_fingerprint
 
 
 def test_scope_without_openblas_is_a_no_op(two_threads, monkeypatch):

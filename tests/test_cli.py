@@ -182,7 +182,7 @@ class TestFitServeRoundTrip:
         assert small_hits < big_hits
 
 
-def _serve_in_background(*flags, stdout):
+def _serve_in_background(*flags, stdout, stderr=None):
     """``python -m repro serve <flags>`` as a child process."""
     import os
     import subprocess
@@ -194,7 +194,7 @@ def _serve_in_background(*flags, stdout):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
     return subprocess.Popen([sys.executable, "-m", "repro", "serve", *flags],
-                            stdout=stdout, text=True, env=env)
+                            stdout=stdout, stderr=stderr, text=True, env=env)
 
 
 class TestServeTransports:
@@ -375,6 +375,25 @@ class TestServeTransports:
         assert code == 1
         err = capsys.readouterr().err
         assert "failed at the backend level" in err
+
+    @pytest.mark.parametrize("transport", ["socket", "asyncio", "http"])
+    def test_bind_failure_is_one_line(self, subtab_artifact, transport):
+        import socket
+        import subprocess
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            server = _serve_in_background(
+                "--artifact", str(subtab_artifact), "--transport", transport,
+                "--port", str(taken.getsockname()[1]),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            out, err = server.communicate(timeout=60)
+        assert server.returncode != 0
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("serve: could not bind 127.0.0.1:"), err
 
     def test_socket_server_mode_end_to_end(self, subtab_artifact):
         import os

@@ -319,13 +319,32 @@ class TestReplicaPolicies:
             SelectionRequest(k=3, l=3),
             SelectionRequest(k=4, l=3),
         ])
-        try:
-            router.select(SelectionRequest(k=3, l=3, dataset="hot"))
-        except Exception:
-            pass  # unnamed engines reject dataset routing; traffic counted
+        # An engine with no dataset name serves any dataset named.
+        router.select(SelectionRequest(k=3, l=3, dataset="hot"))
         datasets = router.stats()["datasets"]
         assert datasets[""] == 2
         assert datasets["hot"] == 1
+
+    def test_traffic_counts_only_served_datasets(self, fitted_subtab):
+        """5,000 selects naming datasets no member holds add no key; a
+        held dataset's count equals its served selects."""
+        from repro.api import Engine
+        from repro.baselines.subtab_adapter import SubTabSelector
+
+        engine = Engine("subtab", selector=SubTabSelector(subtab=fitted_subtab),
+                        dataset="planted")
+        router = ClusterRouter([("a", InProcessBackend(engine)),
+                                ("b", InProcessBackend(engine))],
+                               replication=2)
+        probe = [SelectionRequest(k=3, l=3, dataset=f"probe-{i}")
+                 for i in range(5_000)]
+        results = router.select_many(probe, raise_on_error=False)
+        assert all(isinstance(result, ValueError) for result in results)
+        with pytest.raises(ValueError, match="probe-0"):
+            router.select(probe[0])
+        known = [SelectionRequest(k=k, l=3, dataset="planted") for k in (3, 4)]
+        served = router.select_many(known) + [router.select(known[0])]
+        assert router.stats()["datasets"] == {"planted": len(served)}
 
 
 class TestFailover:

@@ -263,18 +263,38 @@ def mean_update_instance(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(instance=mean_update_instance())
-def test_word2vec_mean_update_matches_parent_arithmetic(instance):
-    table, token_ids, gradients, learning_rate = instance
-    expected = table.copy()
-    parent_mean_update(expected, token_ids, gradients, learning_rate)
-    model = Word2Vec(table.shape[0], Word2VecConfig(dim=table.shape[1]), seed=0)
+@given(center=mean_update_instance(), data=st.data())
+def test_word2vec_mean_update_matches_parent_arithmetic(center, data):
+    """The grouped update (one block, labels offset by table) equals three
+    parent updates in order: center vectors, then the context vectors by
+    the context rows, then by the negative rows."""
+    vectors, center_ids, center_grads, learning_rate = center
+    n_tokens, d = vectors.shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    context_table = vectors[rng.permutation(n_tokens)]
+    groups = [(center_ids, center_grads)]
+    for _ in range(2):
+        size = data.draw(st.integers(min_value=1, max_value=60))
+        present = rng.choice(n_tokens, size=rng.integers(1, n_tokens + 1),
+                             replace=False)
+        grads = rng.normal(size=(size, d)) * 10.0 ** rng.uniform(-6, 6, (size, d))
+        grads[rng.random((size, d)) < 0.2] *= 0.0  # signed zeros
+        groups.append((rng.choice(present, size=size), grads))
+    expected_vectors, expected_context = vectors.copy(), context_table.copy()
+    parent_mean_update(expected_vectors, *groups[0], learning_rate)
+    parent_mean_update(expected_context, *groups[1], learning_rate)
+    parent_mean_update(expected_context, *groups[2], learning_rate)
+    labels = np.concatenate([ids + offset * n_tokens
+                             for offset, (ids, _) in enumerate(groups)])
+    gradients = np.concatenate([grads for _, grads in groups])
+    model = Word2Vec(n_tokens, Word2VecConfig(dim=d), seed=0)
     for backend in (kernels.FAST, kernels.REFERENCE):
-        updated = table.copy()
+        model.vectors, model._context_vectors = vectors.copy(), context_table.copy()
         with use_kernel_backend(backend):
-            model._apply_mean_update(updated, token_ids, gradients,
-                                     learning_rate)
-        assert updated.tobytes() == expected.tobytes(), backend  # signed zeros too
+            model._apply_mean_updates(labels, gradients, learning_rate)
+        # signed zeros too
+        assert model.vectors.tobytes() == expected_vectors.tobytes(), backend
+        assert model._context_vectors.tobytes() == expected_context.tobytes(), backend
 
 
 @settings(max_examples=25, deadline=None)

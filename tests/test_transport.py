@@ -19,6 +19,7 @@ from repro.api import SelectionRequest, SelectionResponse
 from repro.gateway import HttpBackend, HttpGateway
 from repro.serve import (
     AsyncSocketServer,
+    BackendError,
     BaseBackend,
     InProcessBackend,
     RemoteBackend,
@@ -30,7 +31,7 @@ from repro.serve import (
     spawn_artifact_server,
 )
 from repro.queries.generator import SessionGenerator
-from repro.serve.transport import parse_address
+from repro.serve.transport import _build_server, parse_address
 
 
 def _content(response: SelectionResponse) -> dict:
@@ -241,6 +242,33 @@ class TestSocketServer:
         finally:
             remote.close()
             revived.close()
+
+
+@pytest.fixture()
+def taken_port():
+    """A port with a listening socket on it, so every bind to it fails."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        yield taken.getsockname()[1]
+
+
+class TestBindFailure:
+    def test_socket_server_raises_transport_error(self, fitted_engine,
+                                                  taken_port):
+        with pytest.raises(TransportError, match="could not bind"):
+            SocketServer(InProcessBackend(fitted_engine), port=taken_port)
+
+    @pytest.mark.parametrize("transport", ["socket", "asyncio", "http"])
+    def test_build_server_closes_the_backend_it_owns(self, fitted_engine,
+                                                     taken_port, transport):
+        before = {thread.ident for thread in threading.enumerate()}
+        backend = InProcessBackend(fitted_engine)
+        with pytest.raises(TransportError, match="could not bind"):
+            _build_server(backend, "127.0.0.1", taken_port, transport)
+        with pytest.raises(BackendError, match="closed"):
+            backend.select(SelectionRequest(k=3, l=3))
+        assert {thread.ident for thread in threading.enumerate()} <= before
 
 
 class TestSpawnedServer:
